@@ -15,17 +15,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import InternalInvariantError, SearchBudgetError
-from .poly import Polynomial, poly_mul
 from .properties import (
     POLY_KINDS,
     PropertyKind,
-    PropertyReport,
     Verdict,
     check_reduced,
     check_semicommutative,
     get_report,
 )
-from .rings import FiniteRing, is_nilpotent, nilradical
+from .rings import nilradical  # noqa: F401 -- benchmark/tracer.py wraps amalgam.cli.nilradical
 from .specdsl import (
     CheckDirective,
     HarnessDirective,
@@ -42,29 +40,15 @@ EXIT_FAILURE = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
-_PROP_TO_KIND = {
-    "armendariz": PropertyKind.ARMENDARIZ,
-    "nil-armendariz": PropertyKind.NIL_ARMENDARIZ,
-    "weak-armendariz": PropertyKind.WEAK_ARMENDARIZ,
-}
-
 
 @dataclass
 class RunOptions:
-    """Knobs shared by every subcommand; seed only permutes internal search
-    partitioning and never changes a verdict or a witness."""
+    """Knobs shared by every subcommand."""
 
     degree: Optional[int] = None
     threads: int = 1
     max_ring_size: Optional[int] = None
     revalidate: bool = False
-    seed: Optional[int] = None
-
-    @property
-    def partitions(self) -> int:
-        if self.seed is None:
-            return 1
-        return 1 + (self.seed % 4)
 
 
 @dataclass
@@ -87,85 +71,6 @@ class _Outcome:
         return EXIT_OK
 
 
-def _witness_json(R: FiniteRing, witness) -> Optional[dict]:
-    if witness is None:
-        return None
-    cls = type(witness).__name__
-    if cls == "PolyWitness":
-        return {
-            "f": [R.label(c) for c in witness.f_coeffs],
-            "g": [R.label(c) for c in witness.g_coeffs],
-            "f_indices": list(witness.f_coeffs),
-            "g_indices": list(witness.g_coeffs),
-            "i": witness.i,
-            "j": witness.j,
-            "product": R.label(witness.product),
-            "product_index": witness.product,
-        }
-    if cls == "ElementWitness":
-        return {"element": R.label(witness.element), "element_index": witness.element}
-    if cls == "TripleWitness":
-        return {
-            "a": R.label(witness.a),
-            "r": R.label(witness.r),
-            "b": R.label(witness.b),
-            "indices": [witness.a, witness.r, witness.b],
-        }
-    raise TypeError(f"unknown witness type {cls}")
-
-
-def _witness_text(R: FiniteRing, witness) -> str:
-    if witness is None:
-        return ""
-    cls = type(witness).__name__
-    if cls == "PolyWitness":
-        f = " + ".join(f"({R.label(c)})x^{k}" if k else f"({R.label(c)})" for k, c in enumerate(witness.f_coeffs))
-        g = " + ".join(f"({R.label(c)})x^{k}" if k else f"({R.label(c)})" for k, c in enumerate(witness.g_coeffs))
-        return f"f = {f}; g = {g}; coefficient pair ({witness.i},{witness.j}) multiplies to {R.label(witness.product)}"
-    if cls == "ElementWitness":
-        return f"element {R.label(witness.element)}"
-    if cls == "TripleWitness":
-        return f"a = {R.label(witness.a)}, r = {R.label(witness.r)}, b = {R.label(witness.b)}"
-    return repr(witness)
-
-
-def _revalidate_report(R: FiniteRing, prop: str, report: PropertyReport) -> Optional[str]:
-    """Independent witness re-check; None when everything holds up."""
-    w = report.witness
-    if report.verdict is not Verdict.REFUTED:
-        return None
-    if w is None:
-        return "refuted without a witness"
-    if prop == "reduced":
-        if w.element == R.zero or not is_nilpotent(R, w.element)[0]:
-            return "reduced witness is not a nonzero nilpotent"
-        return None
-    if prop == "semicommutative":
-        if R.mul[w.a][w.b] != R.zero:
-            return "semicommutative witness pair does not annihilate"
-        if R.mul[R.mul[w.a][w.r]][w.b] == R.zero:
-            return "semicommutative witness triple vanishes"
-        return None
-    prod = poly_mul(Polynomial(R, w.f_coeffs), Polynomial(R, w.g_coeffs)).coeffs
-    nil = set(nilradical(R).members)
-    if prop == "armendariz":
-        constraint_ok = all(c == R.zero for c in prod)
-        target_ok = w.product not in (R.zero,)
-    elif prop == "nil-armendariz":
-        constraint_ok = all(c in nil for c in prod)
-        target_ok = w.product not in nil
-    else:
-        constraint_ok = all(c == R.zero for c in prod)
-        target_ok = w.product not in nil
-    if not constraint_ok:
-        return "witness polynomials do not satisfy the product constraint"
-    if R.mul[w.f_coeffs[w.i]][w.g_coeffs[w.j]] != w.product:
-        return "witness product does not match the stated coefficients"
-    if not target_ok:
-        return "witness product is not actually a violation"
-    return None
-
-
 def _run_check(model: SpecModel, stmt: CheckDirective, opts: RunOptions, outcome: _Outcome, emit: Callable[[str], None]) -> None:
     R = model.resolve_ring(stmt.target)
     degree = stmt.degree if stmt.degree is not None else (opts.degree if opts.degree is not None else 2)
@@ -174,14 +79,13 @@ def _run_check(model: SpecModel, stmt: CheckDirective, opts: RunOptions, outcome
     elif stmt.prop == "semicommutative":
         report = check_semicommutative(R)
     else:
-        report = get_report(R, _PROP_TO_KIND[stmt.prop], degree)
+        report = get_report(R, PropertyKind(stmt.prop), degree)
     head = f"check {stmt.target} {stmt.prop}"
     if report.kind in POLY_KINDS:
         head += f" degree {degree}"
     line = f"{head}: {report.verdict.value}"
-    wtext = _witness_text(R, report.witness)
-    if wtext:
-        line += f"  [{wtext}]"
+    if report.witness is not None:
+        line += f"  [{report.witness.text(R)}]"
     block = {
         "directive": "check",
         "target": stmt.target,
@@ -189,12 +93,12 @@ def _run_check(model: SpecModel, stmt: CheckDirective, opts: RunOptions, outcome
         "size": R.size,
         "property": stmt.prop,
         "verdict": report.verdict.value,
-        "witness": _witness_json(R, report.witness),
+        "witness": None if report.witness is None else report.witness.to_json(R),
     }
     if report.kind in POLY_KINDS:
         block["degree"] = degree
     if opts.revalidate:
-        problem = _revalidate_report(R, stmt.prop, report)
+        problem = None if report.witness is None else report.witness.problem(R, report.kind)
         block["revalidated"] = problem is None
         if problem is not None:
             outcome.internal_error = True
@@ -244,7 +148,7 @@ def _run_harness(stmt: HarnessDirective, opts: RunOptions, outcome: _Outcome, em
     outcome.blocks.append({"directive": "harness", **report.to_json_dict()})
 
 
-def _search_candidates(opts: RunOptions, max_size: int):
+def _search_candidates(max_size: int):
     """Deterministic candidate stream: corpus atoms first, then every amalgam
     the scenario generator produces, deduplicated structurally."""
     config = CorpusConfig(max_amalgam_size=min(64, max(max_size, 2)))
@@ -271,7 +175,7 @@ def _run_search(stmt: SearchDirective, opts: RunOptions, outcome: _Outcome, emit
     emit(f"search {stmt.goal} degree {degree} max-size {max_size}")
     found = None
     examined = 0
-    for name, ring in _search_candidates(opts, max_size):
+    for name, ring in _search_candidates(max_size):
         examined += 1
         if stmt.goal == "armendariz-refutation":
             report = get_report(ring, PropertyKind.ARMENDARIZ, degree)
@@ -299,14 +203,13 @@ def _run_search(stmt: SearchDirective, opts: RunOptions, outcome: _Outcome, emit
     else:
         name, ring, report = found
         emit(f"  found: {name} ({ring.provenance}, size {ring.size})")
-        emit(f"  witness: {_witness_text(ring, report.witness)}")
+        emit(f"  witness: {report.witness.text(ring)}")
         block["ring"] = ring.provenance
         block["ring_name"] = name
         block["size"] = ring.size
-        block["witness"] = _witness_json(ring, report.witness)
+        block["witness"] = report.witness.to_json(ring)
         if opts.revalidate:
-            prop = "armendariz" if stmt.goal == "armendariz-refutation" else "nil-armendariz"
-            problem = _revalidate_report(ring, prop, report)
+            problem = report.witness.problem(ring, report.kind)
             block["revalidated"] = problem is None
             if problem is not None:
                 outcome.internal_error = True
@@ -360,7 +263,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-ring-size", type=int, default=None, help="cap on constructed ring sizes")
     parser.add_argument("--json", dest="json_path", metavar="PATH", default=None, help="write a machine-readable report (- for stdout)")
     parser.add_argument("--revalidate", action="store_true", help="independently re-check every refutation witness")
-    parser.add_argument("--seed", type=int, default=None, help="permute internal search partitioning; never changes results")
 
 
 def _options_from_args(args: argparse.Namespace) -> RunOptions:
@@ -369,7 +271,6 @@ def _options_from_args(args: argparse.Namespace) -> RunOptions:
         threads=max(1, args.threads),
         max_ring_size=args.max_ring_size,
         revalidate=args.revalidate,
-        seed=args.seed,
     )
 
 

@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import SizeBudgetError
 from .morphisms import Ideal, RingHom, identity_hom
-from .rings import ElementSet, FiniteRing
+from .rings import ElementSet, FiniteRing, ring_closure
 
 __all__ = [
     "DEFAULT_SIZE_BUDGET",
@@ -227,13 +227,12 @@ def poly_quotient(R: FiniteRing, k: int, *, size_budget: Optional[int] = None) -
     )
 
 
-def quotient_ring(R: FiniteRing, I: Ideal, *, verify: bool = False) -> tuple[FiniteRing, tuple[int, ...]]:
+def quotient_ring(R: FiniteRing, I: Ideal) -> tuple[FiniteRing, tuple[int, ...]]:
     """R modulo a two-sided ideal, with the index-level surjection R -> R/I.
 
     Cosets are represented by their smallest member and ordered by that
     representative, so the zero coset is always index 0.  Tables are
-    well-defined because I absorbs on both sides; pass verify=True to re-run
-    the full axiom scan on the result.
+    well-defined because I absorbs on both sides, so the axiom scan is skipped.
     """
     if I.host is not R:
         raise ValueError("ideal lives in a different ring")
@@ -256,22 +255,16 @@ def quotient_ring(R: FiniteRing, I: Ideal, *, verify: bool = False) -> tuple[Fin
     qmul = tuple(
         tuple(surjection[R.mul[a][b]] for b in reps) for a in reps
     )
-    labels = [f"[{R.label(rep)}]" for rep in reps]
-    provenance = f"quotient({R.provenance} / {len(members)})"
-    structure = ("quotient", R, surjection)
-    if verify:
-        Q = FiniteRing.from_tables(qadd, qmul, labels=labels, provenance=provenance, structure=structure)
-    else:
-        Q = FiniteRing(
-            size=len(reps),
-            add=qadd,
-            mul=qmul,
-            zero=surjection[R.zero],
-            one=surjection[R.one],
-            labels=tuple(labels),
-            provenance=provenance,
-            structure=structure,
-        )
+    Q = FiniteRing(
+        size=len(reps),
+        add=qadd,
+        mul=qmul,
+        zero=surjection[R.zero],
+        one=surjection[R.one],
+        labels=tuple(f"[{R.label(rep)}]" for rep in reps),
+        provenance=f"quotient({R.provenance} / {len(members)})",
+        structure=("quotient", R, surjection),
+    )
     return Q, surjection
 
 
@@ -297,26 +290,6 @@ class Embedding:
 
     def as_set(self) -> ElementSet:
         return ElementSet(self.host, self.members)
-
-
-def _close_subring(R: FiniteRing, seed: Iterable[int]) -> tuple[int, ...]:
-    current = {R.zero}
-    current.update(seed)
-    add, mul = R.add, R.mul
-    while True:
-        new = set()
-        elems = list(current)
-        for x in elems:
-            if R.neg[x] not in current:
-                new.add(R.neg[x])
-            for y in elems:
-                if add[x][y] not in current:
-                    new.add(add[x][y])
-                if mul[x][y] not in current:
-                    new.add(mul[x][y])
-        if not new:
-            return tuple(sorted(current))
-        current.update(new)
 
 
 def _build_embedding(R: FiniteRing, members: tuple[int, ...], provenance: str) -> Embedding:
@@ -353,7 +326,7 @@ def subring_closure(R: FiniteRing, seed: Iterable[int], require_one: bool = True
     seed = set(seed)
     if require_one:
         seed.add(R.one)
-    members = _close_subring(R, seed)
+    members = tuple(sorted(ring_closure(R, seed)))
     return _build_embedding(R, members, f"subring({R.provenance})")
 
 
@@ -394,7 +367,7 @@ class AmalgamRing:
         return self.hom.codomain
 
 
-def amalgamation(f: RingHom, J: Ideal, *, size_budget: Optional[int] = None, verify: bool = False) -> AmalgamRing:
+def amalgamation(f: RingHom, J: Ideal, *, size_budget: Optional[int] = None) -> AmalgamRing:
     """Construct A joined with J along f inside A x B.
 
     Elements are indexed as a * |J| + (position of j in J.members); the
@@ -442,22 +415,15 @@ def amalgamation(f: RingHom, J: Ideal, *, size_budget: Optional[int] = None, ver
         add_rows.append(tuple(add_row))
         mul_rows.append(tuple(mul_row))
 
-    labels = tuple(f"({A.label(a)},{B.label(b)})" for a, b in decode)
-    provenance = f"amalgam({A.provenance}, {B.provenance}, |J|={nj})"
-    add_t = tuple(add_rows)
-    mul_t = tuple(mul_rows)
-    if verify:
-        ring = FiniteRing.from_tables(add_t, mul_t, labels=labels, provenance=provenance)
-    else:
-        ring = FiniteRing(
-            size=n,
-            add=add_t,
-            mul=mul_t,
-            zero=A.zero * nj + jpos[B.zero],
-            one=A.one * nj + jpos[B.zero],
-            labels=labels,
-            provenance=provenance,
-        )
+    ring = FiniteRing(
+        size=n,
+        add=tuple(add_rows),
+        mul=tuple(mul_rows),
+        zero=A.zero * nj + jpos[B.zero],
+        one=A.one * nj + jpos[B.zero],
+        labels=tuple(f"({A.label(a)},{B.label(b)})" for a, b in decode),
+        provenance=f"amalgam({A.provenance}, {B.provenance}, |J|={nj})",
+    )
     am = AmalgamRing(
         ring=ring,
         hom=f,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotAnIdealError, SearchBudgetError
-from .rings import ElementSet, FiniteRing, is_nilpotent
+from .rings import ElementSet, FiniteRing, is_nilpotent, ring_closure
 
 __all__ = [
     "Ideal",
@@ -193,35 +193,15 @@ def identity_hom(R: FiniteRing) -> RingHom:
     return RingHom(R, R, tuple(range(R.size)))
 
 
-def _ring_closure(R: FiniteRing, seed: Iterable[int]) -> set[int]:
-    current = set(seed)
-    add = R.add
-    mul = R.mul
-    while True:
-        new = set()
-        elems = list(current)
-        for x in elems:
-            if R.neg[x] not in current:
-                new.add(R.neg[x])
-            for y in elems:
-                if add[x][y] not in current:
-                    new.add(add[x][y])
-                if mul[x][y] not in current:
-                    new.add(mul[x][y])
-        if not new:
-            return current
-        current.update(new)
-
-
 def ring_generators(R: FiniteRing) -> tuple[int, ...]:
     """Greedy generating sequence beyond {0, 1}: repeatedly adjoin the smallest
     element outside the current ring closure."""
     gens: list[int] = []
-    known = _ring_closure(R, (R.zero, R.one))
+    known = ring_closure(R, (R.one,))
     while len(known) < R.size:
         x = min(i for i in range(R.size) if i not in known)
         gens.append(x)
-        known = _ring_closure(R, tuple(known) + (x,))
+        known = ring_closure(R, known | {x})
     return tuple(gens)
 
 

@@ -12,7 +12,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .errors import InternalInvariantError, SearchBudgetError
 from .poly import Polynomial, poly_mul, product_coeffs_in_set
@@ -20,6 +20,7 @@ from .rings import (
     ElementSet,
     FiniteRing,
     central_idempotents,
+    is_nilpotent,
     is_reduced,
     is_semicommutative_ring,
     nilradical,
@@ -45,6 +46,8 @@ __all__ = [
     "check_weak_armendariz",
     "property_profile",
     "get_report",
+    "ring_memo",
+    "nil_set",
     "clear_caches",
 ]
 
@@ -77,17 +80,89 @@ class PolyWitness:
     j: int
     product: int
 
+    def to_json(self, R: FiniteRing) -> dict:
+        return {
+            "f": [R.label(c) for c in self.f_coeffs],
+            "g": [R.label(c) for c in self.g_coeffs],
+            "f_indices": list(self.f_coeffs),
+            "g_indices": list(self.g_coeffs),
+            "i": self.i,
+            "j": self.j,
+            "product": R.label(self.product),
+            "product_index": self.product,
+        }
+
+    def text(self, R: FiniteRing) -> str:
+        f = " + ".join(f"({R.label(c)})x^{k}" if k else f"({R.label(c)})" for k, c in enumerate(self.f_coeffs))
+        g = " + ".join(f"({R.label(c)})x^{k}" if k else f"({R.label(c)})" for k, c in enumerate(self.g_coeffs))
+        return f"f = {f}; g = {g}; coefficient pair ({self.i},{self.j}) multiplies to {R.label(self.product)}"
+
+    def problem(self, R: FiniteRing, kind: PropertyKind) -> Optional[str]:
+        """Why this pair does not refute kind in R, or None when it does.
+
+        Recomputed from R's own tables by polynomial multiplication and power
+        iteration, so the check shares nothing with the search it audits.
+        """
+        zero = R.zero
+
+        def nilpotent(x: int) -> bool:
+            return is_nilpotent(R, x)[0]
+
+        in_constraint = nilpotent if kind is PropertyKind.NIL_ARMENDARIZ else (lambda x: x == zero)
+        in_target = (lambda x: x == zero) if kind is PropertyKind.ARMENDARIZ else nilpotent
+        prod = poly_mul(Polynomial(R, self.f_coeffs), Polynomial(R, self.g_coeffs)).coeffs
+        if not all(in_constraint(c) for c in prod):
+            return "witness polynomials do not satisfy the product constraint"
+        if R.mul[self.f_coeffs[self.i]][self.g_coeffs[self.j]] != self.product:
+            return "witness product does not match the stated coefficients"
+        if in_target(self.product):
+            return "witness product is not actually a violation"
+        return None
+
 
 @dataclass(frozen=True)
 class ElementWitness:
+    """A nonzero nilpotent element, refuting reducedness."""
+
     element: int
+
+    def to_json(self, R: FiniteRing) -> dict:
+        return {"element": R.label(self.element), "element_index": self.element}
+
+    def text(self, R: FiniteRing) -> str:
+        return f"element {R.label(self.element)}"
+
+    def problem(self, R: FiniteRing, kind: PropertyKind) -> Optional[str]:
+        if self.element == R.zero or not is_nilpotent(R, self.element)[0]:
+            return "reduced witness is not a nonzero nilpotent"
+        return None
 
 
 @dataclass(frozen=True)
 class TripleWitness:
+    """a*b = 0 while a*r*b != 0, refuting semicommutativity."""
+
     a: int
     r: int
     b: int
+
+    def to_json(self, R: FiniteRing) -> dict:
+        return {
+            "a": R.label(self.a),
+            "r": R.label(self.r),
+            "b": R.label(self.b),
+            "indices": [self.a, self.r, self.b],
+        }
+
+    def text(self, R: FiniteRing) -> str:
+        return f"a = {R.label(self.a)}, r = {R.label(self.r)}, b = {R.label(self.b)}"
+
+    def problem(self, R: FiniteRing, kind: PropertyKind) -> Optional[str]:
+        if R.mul[self.a][self.b] != R.zero:
+            return "semicommutative witness pair does not annihilate"
+        if R.mul[R.mul[self.a][self.r]][self.b] == R.zero:
+            return "semicommutative witness triple vanishes"
+        return None
 
 
 Witness = Union[PolyWitness, ElementWitness, TripleWitness, None]
@@ -100,13 +175,13 @@ class PropertyReport:
     pairs_examined counts the candidate coefficient choices the search walked
     through; the pruned walk discards provably harmless pairs wholesale, so
     this measures effort, not the number of annihilating pairs that exist.
-    Both it and elapsed depend on the engine route (quotient shortcut,
-    partitioning) and are excluded from reports that must be byte-identical
-    across worker configurations.
+    Both it and elapsed depend on the engine route (factor split, quotient
+    shortcut) and are excluded from reports that must be byte-identical
+    across worker configurations.  A report is a fact about a table: rings
+    with equal tables share one.
     """
 
     kind: PropertyKind
-    ring: FiniteRing
     degree_bound: Optional[int]
     verdict: Verdict
     witness: Witness
@@ -125,7 +200,6 @@ class _Tables:
     """Flattened per-ring arrays plus derived lookup tables for the search."""
 
     def __init__(self, R: FiniteRing):
-        self.R = R
         self.n = R.size
         self.add = [list(row) for row in R.add]
         self.mul = [list(row) for row in R.mul]
@@ -169,52 +243,54 @@ class _Tables:
         return masks
 
 
-_TABLES_CACHE: dict[str, _Tables] = {}
-_NIL_CACHE: dict[str, frozenset] = {}
-_NIL_QUOTIENT_CACHE: dict[str, Optional[tuple[FiniteRing, tuple[int, ...]]]] = {}
-_FACTOR_CACHE: dict[str, tuple[FiniteRing, ...]] = {}
-_REPORT_CACHE: dict[tuple[str, PropertyKind, Optional[int]], PropertyReport] = {}
+T = TypeVar("T")
+_MISSING = object()
+_MEMO: dict[str, dict] = {}
+
+
+def ring_memo(R: FiniteRing, key: Hashable, compute: Callable[[], T]) -> T:
+    """R's derived fact named key, computed on first request.
+
+    Facts are keyed by R.digest(), so rings with equal tables share them;
+    clear_caches() forgets them all.
+    """
+    digest = R.digest()
+    facts = _MEMO.get(digest)
+    if facts is None:
+        facts = _MEMO[digest] = {}
+    value = facts.get(key, _MISSING)
+    if value is _MISSING:
+        value = facts[key] = compute()
+    return value
 
 
 def clear_caches() -> None:
-    _TABLES_CACHE.clear()
-    _NIL_CACHE.clear()
-    _NIL_QUOTIENT_CACHE.clear()
-    _FACTOR_CACHE.clear()
-    _REPORT_CACHE.clear()
+    """Forget every memoized fact about every ring."""
+    _MEMO.clear()
 
 
 def _tables(R: FiniteRing) -> _Tables:
-    key = R.digest()
-    tabs = _TABLES_CACHE.get(key)
-    if tabs is None:
-        tabs = _Tables(R)
-        _TABLES_CACHE[key] = tabs
-    return tabs
+    return ring_memo(R, "tables", lambda: _Tables(R))
 
 
-def _nil_key(R: FiniteRing) -> frozenset:
-    key = R.digest()
-    cached = _NIL_CACHE.get(key)
-    if cached is None:
-        cached = frozenset(nilradical(R).members)
-        _NIL_CACHE[key] = cached
-    return cached
+def nil_set(R: FiniteRing) -> frozenset:
+    """The nilpotent elements of R."""
+    return ring_memo(R, "nil", lambda: frozenset(nilradical(R).members))
 
 
 def _nil_quotient(R: FiniteRing) -> Optional[tuple[FiniteRing, tuple[int, ...]]]:
     """R modulo its nilradical when that set is a two-sided ideal, else None."""
-    key = R.digest()
-    if key not in _NIL_QUOTIENT_CACHE:
+
+    def compute() -> Optional[tuple[FiniteRing, tuple[int, ...]]]:
         from .constructions import quotient_ring
         from .morphisms import Ideal, _ideal_defect
 
-        members = tuple(sorted(_nil_key(R)))
-        if _ideal_defect(R, members) is None:
-            _NIL_QUOTIENT_CACHE[key] = quotient_ring(R, Ideal(R, members))
-        else:
-            _NIL_QUOTIENT_CACHE[key] = None
-    return _NIL_QUOTIENT_CACHE[key]
+        members = tuple(sorted(nil_set(R)))
+        if _ideal_defect(R, members) is not None:
+            return None
+        return quotient_ring(R, Ideal(R, members))
+
+    return ring_memo(R, "nil_quotient", compute)
 
 
 def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
@@ -223,17 +299,15 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     Always splits at the smallest nontrivial central idempotent, so the factor
     list is canonical for a given table.
     """
-    key = R.digest()
-    factors = _FACTOR_CACHE.get(key)
-    if factors is None:
+
+    def compute() -> tuple[FiniteRing, ...]:
         idems = central_idempotents(R)
         if not idems:
-            factors = (R,)
-        else:
-            left, right = split_by_central_idempotent(R, idems[0])
-            factors = _indecomposable_factors(left) + _indecomposable_factors(right)
-        _FACTOR_CACHE[key] = factors
-    return factors
+            return (R,)
+        left, right = split_by_central_idempotent(R, idems[0])
+        return _indecomposable_factors(left) + _indecomposable_factors(right)
+
+    return ring_memo(R, "factors", compute)
 
 
 def _memberset_key(R: FiniteRing, members: Union[ElementSet, Iterable[int]]) -> frozenset:
@@ -264,13 +338,12 @@ def _scan_block_generic(
     d: int,
     sc: frozenset,
     sv: frozenset,
-    a0_values: Iterable[int],
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
     """Reference scan for any degree bound (the d=1 and d=2 hot paths are
     unrolled separately but must traverse in exactly this order).
 
-    f runs in lexicographic coefficient order over the block, g is built by
+    f runs in lexicographic coefficient order, g is built by
     backtracking: choosing g's k-th coefficient closes the k-th convolution
     constraint, so infeasible prefixes are cut immediately.  At the final
     coefficient, candidates that cannot complete a violation are skipped, so
@@ -323,7 +396,7 @@ def _scan_block_generic(
         return False
 
     rng = range(n)
-    for a0 in a0_values:
+    for a0 in rng:
         fb0 = bad[a0]
         for rest in itertools.product(rng, repeat=d):
             fb = fb0
@@ -343,7 +416,6 @@ def _scan_block_d1(
     tabs: _Tables,
     sc: frozenset,
     sv: frozenset,
-    a0_values: Iterable[int],
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
     """_scan_block_generic unrolled for degree bound 1."""
@@ -354,7 +426,7 @@ def _scan_block_d1(
     zero = tabs.zero
     nodes = 0
     rng = range(n)
-    for a0 in a0_values:
+    for a0 in rng:
         fb0 = bad[a0]
         cand0 = cand[a0]
         level0 = cand0[zero]
@@ -383,7 +455,6 @@ def _scan_block_d2(
     tabs: _Tables,
     sc: frozenset,
     sv: frozenset,
-    a0_values: Iterable[int],
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
     """_scan_block_generic unrolled for degree bound 2."""
@@ -394,7 +465,7 @@ def _scan_block_d2(
     zero = tabs.zero
     nodes = 0
     rng = range(n)
-    for a0 in a0_values:
+    for a0 in rng:
         fb0 = bad[a0]
         cand0 = cand[a0]
         level0 = cand0[zero]
@@ -433,50 +504,20 @@ def _scan_block_d2(
     return None, nodes
 
 
-def _scan_block(
-    tabs: _Tables,
-    d: int,
-    sc: frozenset,
-    sv: frozenset,
-    a0_values: Iterable[int],
-    node_budget: Optional[int],
-) -> tuple[Optional[tuple], int]:
-    if d == 1:
-        return _scan_block_d1(tabs, sc, sv, a0_values, node_budget)
-    if d == 2:
-        return _scan_block_d2(tabs, sc, sv, a0_values, node_budget)
-    return _scan_block_generic(tabs, d, sc, sv, a0_values, node_budget)
-
-
 def _search_violation(
     R: FiniteRing,
     d: int,
     sc: frozenset,
     sv: frozenset,
-    partitions: int,
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
-    """Partition the leading-coefficient axis, scan each block, and merge.
-
-    Blocks partition the lexicographic order of f by its first coefficient, so
-    the minimum of the per-block first hits is the global lexicographic
-    minimum; verdict and witness are independent of the partition count.
-    """
+    """The lexicographically first violating leaf, or None, and the node count."""
     tabs = _tables(R)
-    n = tabs.n
-    parts = max(1, min(partitions, n))
-    bounds = [round(w * n / parts) for w in range(parts + 1)]
-    best: Optional[tuple] = None
-    nodes_total = 0
-    for w in range(parts):
-        block = range(bounds[w], bounds[w + 1])
-        if not block:
-            continue
-        wit, nodes = _scan_block(tabs, d, sc, sv, block, node_budget)
-        nodes_total += nodes
-        if wit is not None and (best is None or wit < best):
-            best = wit
-    return best, nodes_total
+    if d == 1:
+        return _scan_block_d1(tabs, sc, sv, node_budget)
+    if d == 2:
+        return _scan_block_d2(tabs, sc, sv, node_budget)
+    return _scan_block_generic(tabs, d, sc, sv, node_budget)
 
 
 # --------------------------------------------------------------------------
@@ -541,10 +582,10 @@ def _kind_sets(R: FiniteRing, kind: PropertyKind) -> tuple[frozenset, frozenset]
     if kind is PropertyKind.ARMENDARIZ:
         return zero_key, zero_key
     if kind is PropertyKind.NIL_ARMENDARIZ:
-        nil = _nil_key(R)
+        nil = nil_set(R)
         return nil, nil
     if kind is PropertyKind.WEAK_ARMENDARIZ:
-        return zero_key, _nil_key(R)
+        return zero_key, nil_set(R)
     raise ValueError(f"not a polynomial property: {kind}")
 
 
@@ -565,22 +606,10 @@ def naive_poly_check(R: FiniteRing, kind: PropertyKind, d: int) -> tuple[Verdict
 # --------------------------------------------------------------------------
 # checkers
 
-def _revalidate_poly_witness(R: FiniteRing, kind: PropertyKind, wit: PolyWitness) -> None:
-    sc, sv = _kind_sets(R, kind)
-    f = Polynomial(R, wit.f_coeffs)
-    g = Polynomial(R, wit.g_coeffs)
-    if not product_coeffs_in_set(f, g, sc):
-        raise InternalInvariantError(f"witness pair does not satisfy the product constraint: {wit}")
-    p = R.mul[wit.f_coeffs[wit.i]][wit.g_coeffs[wit.j]]
-    if p != wit.product or p in sv:
-        raise InternalInvariantError(f"witness product does not refute the property: {wit}")
-
-
 def _poly_property_check(
     R: FiniteRing,
     kind: PropertyKind,
     d: int,
-    partitions: int,
     node_budget: Optional[int],
 ) -> PropertyReport:
     if d < 0:
@@ -602,9 +631,7 @@ def _poly_property_check(
             qrep = get_report(quotient[0], PropertyKind.ARMENDARIZ, d, node_budget=node_budget)
             examined += qrep.pairs_examined
             if qrep.verdict is not Verdict.REFUTED:
-                return PropertyReport(
-                    kind, R, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start
-                )
+                return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start)
     factors = _indecomposable_factors(R)
     if len(factors) > 1:
         # All three properties split across a direct product at any fixed
@@ -622,38 +649,37 @@ def _poly_property_check(
                 clean = False
                 break
         if clean:
-            return PropertyReport(
-                kind, R, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start
-            )
-    wit, pairs = _search_violation(R, d, sc, sv, partitions, node_budget)
+            return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start)
+    wit, pairs = _search_violation(R, d, sc, sv, node_budget)
     examined += pairs
     if wit is None:
-        return PropertyReport(kind, R, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start)
-    fc, gc, i, j, product = wit
-    witness = PolyWitness(fc, gc, i, j, product)
-    _revalidate_poly_witness(R, kind, witness)
-    return PropertyReport(kind, R, d, Verdict.REFUTED, witness, examined, time.perf_counter() - start)
+        return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start)
+    witness = PolyWitness(*wit)
+    problem = witness.problem(R, kind)
+    if problem is not None:
+        raise InternalInvariantError(f"{problem}: {witness}")
+    return PropertyReport(kind, d, Verdict.REFUTED, witness, examined, time.perf_counter() - start)
 
 
 def check_armendariz(
-    R: FiniteRing, d: int = 2, *, partitions: int = 1, node_budget: Optional[int] = None
+    R: FiniteRing, d: int = 2, *, node_budget: Optional[int] = None
 ) -> PropertyReport:
     """Does f*g = 0 force every product of coefficients to vanish, for degrees <= d?"""
-    return _poly_property_check(R, PropertyKind.ARMENDARIZ, d, partitions, node_budget)
+    return _poly_property_check(R, PropertyKind.ARMENDARIZ, d, node_budget)
 
 
 def check_nil_armendariz(
-    R: FiniteRing, d: int = 2, *, partitions: int = 1, node_budget: Optional[int] = None
+    R: FiniteRing, d: int = 2, *, node_budget: Optional[int] = None
 ) -> PropertyReport:
     """Does f*g having nilpotent coefficients force nilpotent coefficient products?"""
-    return _poly_property_check(R, PropertyKind.NIL_ARMENDARIZ, d, partitions, node_budget)
+    return _poly_property_check(R, PropertyKind.NIL_ARMENDARIZ, d, node_budget)
 
 
 def check_weak_armendariz(
-    R: FiniteRing, d: int = 2, *, partitions: int = 1, node_budget: Optional[int] = None
+    R: FiniteRing, d: int = 2, *, node_budget: Optional[int] = None
 ) -> PropertyReport:
     """Does f*g = 0 force every product of coefficients to be nilpotent?"""
-    return _poly_property_check(R, PropertyKind.WEAK_ARMENDARIZ, d, partitions, node_budget)
+    return _poly_property_check(R, PropertyKind.WEAK_ARMENDARIZ, d, node_budget)
 
 
 def check_reduced(R: FiniteRing) -> PropertyReport:
@@ -661,7 +687,6 @@ def check_reduced(R: FiniteRing) -> PropertyReport:
     ok, witness = is_reduced(R)
     return PropertyReport(
         PropertyKind.REDUCED,
-        R,
         None,
         Verdict.HOLDS_EXACT if ok else Verdict.REFUTED,
         None if ok else ElementWitness(witness),
@@ -675,7 +700,6 @@ def check_semicommutative(R: FiniteRing) -> PropertyReport:
     ok, witness = is_semicommutative_ring(R)
     return PropertyReport(
         PropertyKind.SEMICOMMUTATIVE,
-        R,
         None,
         Verdict.HOLDS_EXACT if ok else Verdict.REFUTED,
         None if ok else TripleWitness(*witness),
@@ -688,23 +712,14 @@ def check_semicommutative(R: FiniteRing) -> PropertyReport:
 # profiles and cached access
 
 def get_report(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_budget: Optional[int] = None) -> PropertyReport:
-    """Cached property check; polynomial kinds require a degree bound."""
+    """Memoized property check; polynomial kinds require a degree bound."""
     if kind in POLY_KINDS:
         if d is None:
             raise ValueError("polynomial properties need a degree bound")
-        key = (R.digest(), kind, d)
-    else:
-        key = (R.digest(), kind, None)
-    report = _REPORT_CACHE.get(key)
-    if report is None:
-        if kind is PropertyKind.REDUCED:
-            report = check_reduced(R)
-        elif kind is PropertyKind.SEMICOMMUTATIVE:
-            report = check_semicommutative(R)
-        else:
-            report = _poly_property_check(R, kind, d, 1, node_budget)
-        _REPORT_CACHE[key] = report
-    return report
+        return ring_memo(R, (kind, d), lambda: _poly_property_check(R, kind, d, node_budget))
+    if kind is PropertyKind.REDUCED:
+        return ring_memo(R, (kind, None), lambda: check_reduced(R))
+    return ring_memo(R, (kind, None), lambda: check_semicommutative(R))
 
 
 @dataclass(frozen=True)
@@ -772,7 +787,7 @@ class PropertyProfile:
 
 
 def property_profile(R: FiniteRing, d: int = 2, *, node_budget: Optional[int] = None) -> PropertyProfile:
-    """Run every checker on R at degree bound d, using the report cache."""
+    """Run every checker on R at degree bound d, using the ring memo."""
     return PropertyProfile(
         ring=R,
         degree_bound=d,

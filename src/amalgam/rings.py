@@ -23,6 +23,7 @@ __all__ = [
     "power",
     "is_nilpotent",
     "nilradical",
+    "ring_closure",
     "is_reduced",
     "is_unit",
     "units",
@@ -285,6 +286,28 @@ def nilradical(R: FiniteRing) -> ElementSet:
     """The set of nilpotent elements.  A set, not an ideal: closure is not assumed."""
     members = tuple(x for x in range(R.size) if is_nilpotent(R, x)[0])
     return ElementSet(R, members)
+
+
+def ring_closure(R: FiniteRing, seed: Iterable[int]) -> set[int]:
+    """The smallest set holding zero and the seed that is closed under
+    negation, addition and multiplication."""
+    current = {R.zero}
+    current.update(seed)
+    add, mul = R.add, R.mul
+    while True:
+        new = set()
+        elems = list(current)
+        for x in elems:
+            if R.neg[x] not in current:
+                new.add(R.neg[x])
+            for y in elems:
+                if add[x][y] not in current:
+                    new.add(add[x][y])
+                if mul[x][y] not in current:
+                    new.add(mul[x][y])
+        if not new:
+            return current
+        current.update(new)
 
 
 def is_reduced(R: FiniteRing) -> tuple[bool, Optional[int]]:

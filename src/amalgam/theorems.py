@@ -29,7 +29,7 @@ from .morphisms import (
     is_semicommutative_ideal,
     preimage_ideal,
 )
-from .properties import PropertyKind, _nil_key, get_report
+from .properties import PropertyKind, get_report, nil_set, ring_memo
 from .rings import FiniteRing, regular_central
 
 __all__ = [
@@ -52,33 +52,22 @@ ARM = PropertyKind.ARMENDARIZ
 NIL = PropertyKind.NIL_ARMENDARIZ
 WEAK = PropertyKind.WEAK_ARMENDARIZ
 
-_REGCENTRAL_CACHE: dict[str, frozenset] = {}
-_SEMI_IDEAL_CACHE: dict[tuple[str, tuple[int, ...]], bool] = {}
-
-
 def _regular_central_set(R: FiniteRing) -> frozenset:
-    key = R.digest()
-    cached = _REGCENTRAL_CACHE.get(key)
-    if cached is None:
-        cached = frozenset(regular_central(R).members)
-        _REGCENTRAL_CACHE[key] = cached
-    return cached
+    return ring_memo(R, "regular_central", lambda: frozenset(regular_central(R).members))
 
 
 def _semicommutative_ideal_holds(R: FiniteRing, J: Ideal) -> bool:
-    key = (R.digest(), J.members)
-    cached = _SEMI_IDEAL_CACHE.get(key)
-    if cached is None:
-        cached = is_semicommutative_ideal(R, J).holds
-        _SEMI_IDEAL_CACHE[key] = cached
-    return cached
+    return ring_memo(R, ("semicommutative_ideal", J.members), lambda: is_semicommutative_ideal(R, J).holds)
 
 
 class Scenario:
     """One harness instance, with memoized structural predicates.
 
-    Property verdicts go through the module-level report cache keyed by ring
-    digest, so repeated base or subring checks across scenarios are free.
+    Facts about a single ring (property verdicts, nilpotent sets, regular
+    central elements, semicommutative ideals) go through the ring memo of
+    properties, keyed by table digest, so scenarios that share a base, target
+    or amalgam table compute them once; clear_caches() resets them.  Facts
+    that tie several objects of one scenario together stay in the scenario.
     """
 
     __slots__ = ("base_name", "target_name", "hom", "ideal", "am", "faj", "key", "node_budget", "_memo")
@@ -134,7 +123,7 @@ class Scenario:
     def nil_target_meets_ideal_only_at_zero(self) -> bool:
         return self._get(
             "nil_cap_ideal",
-            lambda: _nil_key(self.target) & frozenset(self.ideal.members) == {self.target.zero},
+            lambda: nil_set(self.target) & frozenset(self.ideal.members) == {self.target.zero},
         )
 
     def ideal_radical(self) -> bool:
@@ -143,7 +132,7 @@ class Scenario:
     def ideal_inside_nil_target(self) -> bool:
         return self._get(
             "ideal_in_nil",
-            lambda: frozenset(self.ideal.members) <= _nil_key(self.target),
+            lambda: frozenset(self.ideal.members) <= nil_set(self.target),
         )
 
     def preimage(self) -> Ideal:
@@ -154,13 +143,13 @@ class Scenario:
     def preimage_meets_nil_base_only_at_zero(self) -> bool:
         return self._get(
             "preim_cap_nil",
-            lambda: frozenset(self.preimage().members) & _nil_key(self.base) == {self.base.zero},
+            lambda: frozenset(self.preimage().members) & nil_set(self.base) == {self.base.zero},
         )
 
     def preimage_inside_nil_base(self) -> bool:
         return self._get(
             "preim_in_nil",
-            lambda: frozenset(self.preimage().members) <= _nil_key(self.base),
+            lambda: frozenset(self.preimage().members) <= nil_set(self.base),
         )
 
     def hom_injective(self) -> bool:

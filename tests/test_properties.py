@@ -25,8 +25,13 @@ from amalgam.properties import (
     naive_annihilating_pairs,
     naive_poly_check,
     property_profile,
+    _kind_sets,
+    _scan_block_d1,
+    _scan_block_d2,
+    _scan_block_generic,
+    _tables,
 )
-from amalgam.rings import nilradical
+from amalgam.rings import FiniteRing, nilradical
 
 
 ORACLE_RINGS_SMALL = [zmod(2), zmod(3), zmod(4), zmod(5), zmod(6), poly_quotient(zmod(2), 2), direct_product(zmod(2), zmod(2))]
@@ -115,15 +120,6 @@ def test_witness_is_lex_minimal(t2):
     pytest.fail("oracle found no refutation where the engine did")
 
 
-def test_partition_invariance(t2, m2):
-    for R in (t2, m2):
-        base = check_armendariz(R, 1, partitions=1)
-        for parts in (2, 3, 8):
-            again = check_armendariz(R, 1, partitions=parts)
-            assert again.verdict is base.verdict
-            assert again.witness == base.witness
-
-
 def test_stream_counts_match_naive(t2):
     fast = sum(1 for _ in annihilating_pairs(t2, 1, {t2.zero}))
     slow = sum(1 for _ in naive_annihilating_pairs(t2, 1, {t2.zero}))
@@ -199,6 +195,31 @@ def test_report_cache_returns_identical_object(z4):
     a = get_report(z4, PropertyKind.ARMENDARIZ, 2)
     b = get_report(z4, PropertyKind.ARMENDARIZ, 2)
     assert a is b
+
+
+def test_equal_tables_share_one_report(z4):
+    twin = FiniteRing.from_tables(z4.add, z4.mul)
+    assert twin is not z4
+    for kind in PropertyKind:
+        d = 1 if kind in POLY_KINDS else None
+        assert get_report(twin, kind, d) is get_report(z4, kind, d)
+
+
+@pytest.mark.parametrize("d, unrolled", [(1, _scan_block_d1), (2, _scan_block_d2)])
+def test_unrolled_scans_match_generic_scan(d, unrolled):
+    rings = [
+        zmod(4),
+        zmod(8),
+        poly_quotient(zmod(2), 3),
+        upper_triangular(zmod(2), 2),
+        matrix_ring(zmod(2), 2),
+        direct_product(zmod(2), zmod(4)),
+    ]
+    for R in rings:
+        for kind in POLY_KINDS:
+            sc, sv = _kind_sets(R, kind)
+            want = _scan_block_generic(_tables(R), d, sc, sv, None)
+            assert unrolled(_tables(R), sc, sv, None) == want, (R.provenance, kind)
 
 
 def test_pairs_examined_counts_effort(t2):

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+import amalgam.theorems as theorems
 from amalgam.constructions import zmod
 from amalgam.morphisms import generated_ideal, identity_hom
-from amalgam.properties import PropertyKind
+from amalgam.properties import PropertyKind, clear_caches
 from amalgam.theorems import (
     ClauseOutcome,
     CorpusConfig,
@@ -68,6 +69,35 @@ def test_scenario_predicates_on_duplication(dup_scenario):
     assert sc.preimage().members == (0, 2)
     assert sc.base_holds(PropertyKind.ARMENDARIZ, 1)
     assert sc.am_holds(PropertyKind.ARMENDARIZ, 1)
+
+
+def test_clear_caches_forgets_scenario_facts(monkeypatch, z4):
+    calls = {"semicommutative_ideal": 0, "regular_central": 0}
+    real_semi, real_regular = theorems.is_semicommutative_ideal, theorems.regular_central
+
+    def counting_semi(R, J):
+        calls["semicommutative_ideal"] += 1
+        return real_semi(R, J)
+
+    def counting_regular(R):
+        calls["regular_central"] += 1
+        return real_regular(R)
+
+    monkeypatch.setattr(theorems, "is_semicommutative_ideal", counting_semi)
+    monkeypatch.setattr(theorems, "regular_central", counting_regular)
+
+    def query_fresh_scenario():
+        sc = Scenario("zmod(4)", "zmod(4)", identity_hom(z4), generated_ideal(z4, [2]))
+        sc.ideal_semicommutative()
+        sc.ideal_contains_regular_central()
+
+    clear_caches()
+    query_fresh_scenario()
+    query_fresh_scenario()
+    assert calls == {"semicommutative_ideal": 1, "regular_central": 1}
+    clear_caches()
+    query_fresh_scenario()
+    assert calls == {"semicommutative_ideal": 2, "regular_central": 2}
 
 
 def test_evaluate_clause_statuses(dup_scenario):
