@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .errors import InternalInvariantError, SearchBudgetError
 from .properties import (
@@ -31,7 +31,7 @@ from .specdsl import (
     SpecModel,
     parse_spec,
 )
-from .theorems import CorpusConfig, HarnessReport, build_corpus, build_scenarios, run_harness
+from .theorems import CorpusConfig, build_corpus, build_scenarios, run_harness
 
 __all__ = ["main", "execute_model", "RunOptions", "EXIT_OK", "EXIT_FAILURE", "EXIT_BUDGET", "EXIT_INTERNAL"]
 
@@ -71,9 +71,16 @@ class _Outcome:
         return EXIT_OK
 
 
+def _degree(stmt: Union[CheckDirective, HarnessDirective, SearchDirective], opts: RunOptions) -> int:
+    """The directive's degree bound, else the command line's, else 2."""
+    if stmt.degree is not None:
+        return stmt.degree
+    return opts.degree if opts.degree is not None else 2
+
+
 def _run_check(model: SpecModel, stmt: CheckDirective, opts: RunOptions, outcome: _Outcome, emit: Callable[[str], None]) -> None:
     R = model.resolve_ring(stmt.target)
-    degree = stmt.degree if stmt.degree is not None else (opts.degree if opts.degree is not None else 2)
+    degree = _degree(stmt, opts)
     if stmt.prop == "reduced":
         report = check_reduced(R)
     elif stmt.prop == "semicommutative":
@@ -123,7 +130,7 @@ def _harness_config(opts: RunOptions) -> CorpusConfig:
 
 
 def _run_harness(stmt: HarnessDirective, opts: RunOptions, outcome: _Outcome, emit: Callable[[str], None]) -> None:
-    degree = stmt.degree if stmt.degree is not None else (opts.degree if opts.degree is not None else 2)
+    degree = _degree(stmt, opts)
     config = _harness_config(opts)
     report = run_harness(config, degree=degree, workers=opts.threads)
     emit(f"harness degree {degree}: {report.scenario_count} scenarios, {len(report.ring_names)} corpus rings")
@@ -170,7 +177,7 @@ def _search_candidates(max_size: int):
 
 
 def _run_search(stmt: SearchDirective, opts: RunOptions, outcome: _Outcome, emit: Callable[[str], None]) -> None:
-    degree = stmt.degree if stmt.degree is not None else (opts.degree if opts.degree is not None else 2)
+    degree = _degree(stmt, opts)
     max_size = stmt.max_size if stmt.max_size is not None else (opts.max_ring_size if opts.max_ring_size is not None else 16)
     emit(f"search {stmt.goal} degree {degree} max-size {max_size}")
     found = None
@@ -221,6 +228,7 @@ def execute_model(model: SpecModel, opts: RunOptions, emit: Callable[[str], None
     """Run every directive in order; returns (exit_code, json_envelope)."""
     outcome = _Outcome()
     status = "COMPLETE"
+    code = None
     try:
         for stmt in model.statements:
             if isinstance(stmt, CheckDirective):
@@ -240,10 +248,9 @@ def execute_model(model: SpecModel, opts: RunOptions, emit: Callable[[str], None
     except KeyboardInterrupt:
         status = "INCOMPLETE"
         emit("interrupted; partial results flushed")
-        envelope = {"format": 1, "status": status, "reports": outcome.blocks}
-        return 130, envelope
+        code = 130
     envelope = {"format": 1, "status": status, "reports": outcome.blocks}
-    return outcome.exit_code(), envelope
+    return (outcome.exit_code() if code is None else code), envelope
 
 
 def _write_json(path: Optional[str], envelope: dict) -> None:
@@ -314,25 +321,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             for diag in model.diagnostics:
                 print(f"{args.specfile}:{diag.render()}", file=sys.stderr)
             return EXIT_FAILURE
-        code, envelope = execute_model(model, opts)
-        _write_json(args.json_path, envelope)
-        return code
-
-    if args.command == "check":
+    elif args.command == "check":
         model = _model_for_ring(args.ring, args.prop, opts, args.assertion)
         if model is None:
             return EXIT_FAILURE
-        code, envelope = execute_model(model, opts)
-        _write_json(args.json_path, envelope)
-        return code
-
-    if args.command == "harness":
+    elif args.command == "harness":
         model = SpecModel(statements=(HarnessDirective(opts.degree),))
-        code, envelope = execute_model(model, opts)
-        _write_json(args.json_path, envelope)
-        return code
-
-    model = SpecModel(statements=(SearchDirective(args.goal, opts.degree, args.max_size),))
+    else:
+        model = SpecModel(statements=(SearchDirective(args.goal, opts.degree, args.max_size),))
     code, envelope = execute_model(model, opts)
     _write_json(args.json_path, envelope)
     return code

@@ -69,7 +69,7 @@ class Ideal:
         return ElementSet(self.host, self.members)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        return x in self.members
 
     def __len__(self) -> int:
         return len(self.members)
@@ -117,21 +117,16 @@ def enumerate_ideals(R: FiniteRing, *, size_cap: int = 64) -> list[Ideal]:
     zero_ideal = generated_ideal(R, ())
     seen = {zero_ideal.members: zero_ideal}
     frontier = [zero_ideal.members]
-    closure_memo: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     while frontier:
         base = frontier.pop()
         base_set = set(base)
         for x in range(R.size):
             if x in base_set:
                 continue
-            key = (base, x)
-            members = closure_memo.get(key)
-            if members is None:
-                members = generated_ideal(R, base + (x,)).members
-                closure_memo[key] = members
-            if members not in seen:
-                seen[members] = Ideal(R, members)
-                frontier.append(members)
+            ideal = generated_ideal(R, base + (x,))
+            if ideal.members not in seen:
+                seen[ideal.members] = ideal
+                frontier.append(ideal.members)
     return sorted(seen.values(), key=lambda ideal: (len(ideal.members), ideal.members))
 
 
@@ -256,9 +251,10 @@ def enumerate_homs(A: FiniteRing, B: FiniteRing, *, size_cap: int = 64) -> list[
     def descend(level: int, amap: dict[int, int]) -> None:
         if level == len(gens):
             if len(amap) == A.size:
-                full = tuple(amap[x] for x in range(A.size))
-                if _hom_defect(A, B, full) is None:
-                    results.append(RingHom(A, B, full))
+                try:
+                    results.append(RingHom(A, B, tuple(amap[x] for x in range(A.size))))
+                except ValueError:
+                    pass
             return
         g = gens[level]
         if g in amap:
@@ -280,7 +276,8 @@ def preimage_ideal(f: RingHom, J: Ideal) -> Ideal:
     """f^{-1}(J) as a verified ideal of the domain."""
     if J.host is not f.codomain:
         raise ValueError("ideal must live in the codomain of the homomorphism")
-    members = tuple(x for x in range(f.domain.size) if f.map[x] in set(J.members))
+    mem = set(J.members)
+    members = tuple(x for x in range(f.domain.size) if f.map[x] in mem)
     return Ideal(f.domain, members)
 
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
 
-from .errors import InternalInvariantError, SearchBudgetError
+from .constructions import quotient_ring
+from .errors import InternalInvariantError, NotAnIdealError, SearchBudgetError
+from .morphisms import Ideal
 from .poly import Polynomial, poly_mul, product_coeffs_in_set
 from .rings import (
     ElementSet,
@@ -194,54 +196,7 @@ class PropertyReport:
 
 
 # --------------------------------------------------------------------------
-# engine tables
-
-class _Tables:
-    """Flattened per-ring arrays plus derived lookup tables for the search."""
-
-    def __init__(self, R: FiniteRing):
-        self.n = R.size
-        self.add = [list(row) for row in R.add]
-        self.mul = [list(row) for row in R.mul]
-        self.neg = list(R.neg)
-        self.zero = R.zero
-        self._cand: dict[frozenset, list[list[tuple[int, ...]]]] = {}
-        self._bad: dict[frozenset, list[int]] = {}
-
-    def cand_table(self, allowed: frozenset) -> list[list[tuple[int, ...]]]:
-        """cand[a][p] lists b ascending with p + a*b in the allowed set."""
-        table = self._cand.get(allowed)
-        if table is None:
-            n = self.n
-            add, mul, neg = self.add, self.mul, self.neg
-            buckets: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-            targets = sorted(allowed)
-            for a in range(n):
-                row = mul[a]
-                bucket_a = buckets[a]
-                for b in range(n):
-                    q = neg[row[b]]
-                    for s in targets:
-                        bucket_a[add[s][q]].append(b)
-            table = [[tuple(b) for b in bucket_a] for bucket_a in buckets]
-            self._cand[allowed] = table
-        return table
-
-    def bad_masks(self, allowed: frozenset) -> list[int]:
-        """Per a, a bitmask of the b with a*b outside the allowed set."""
-        masks = self._bad.get(allowed)
-        if masks is None:
-            masks = []
-            for a in range(self.n):
-                row = self.mul[a]
-                m = 0
-                for b in range(self.n):
-                    if row[b] not in allowed:
-                        m |= 1 << b
-                masks.append(m)
-            self._bad[allowed] = masks
-        return masks
-
+# ring memo
 
 T = TypeVar("T")
 _MISSING = object()
@@ -269,10 +224,6 @@ def clear_caches() -> None:
     _MEMO.clear()
 
 
-def _tables(R: FiniteRing) -> _Tables:
-    return ring_memo(R, "tables", lambda: _Tables(R))
-
-
 def nil_set(R: FiniteRing) -> frozenset:
     """The nilpotent elements of R."""
     return ring_memo(R, "nil", lambda: frozenset(nilradical(R).members))
@@ -282,13 +233,11 @@ def _nil_quotient(R: FiniteRing) -> Optional[tuple[FiniteRing, tuple[int, ...]]]
     """R modulo its nilradical when that set is a two-sided ideal, else None."""
 
     def compute() -> Optional[tuple[FiniteRing, tuple[int, ...]]]:
-        from .constructions import quotient_ring
-        from .morphisms import Ideal, _ideal_defect
-
-        members = tuple(sorted(nil_set(R)))
-        if _ideal_defect(R, members) is not None:
+        try:
+            nil = Ideal(R, tuple(sorted(nil_set(R))))
+        except NotAnIdealError:
             return None
-        return quotient_ring(R, Ideal(R, members))
+        return quotient_ring(R, nil)
 
     return ring_memo(R, "nil_quotient", compute)
 
@@ -318,11 +267,47 @@ def _memberset_key(R: FiniteRing, members: Union[ElementSet, Iterable[int]]) -> 
     return frozenset(members)
 
 
+def _cand_table(R: FiniteRing, allowed: frozenset) -> list[list[tuple[int, ...]]]:
+    """cand[a][p] lists b ascending with p + a*b in the allowed set."""
+
+    def compute() -> list[list[tuple[int, ...]]]:
+        n = R.size
+        add, mul, neg = R.add, R.mul, R.neg
+        buckets: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+        targets = sorted(allowed)
+        for a in range(n):
+            row = mul[a]
+            bucket_a = buckets[a]
+            for b in range(n):
+                q = neg[row[b]]
+                for s in targets:
+                    bucket_a[add[s][q]].append(b)
+        return [[tuple(b) for b in bucket_a] for bucket_a in buckets]
+
+    return ring_memo(R, ("cand", allowed), compute)
+
+
+def _bad_masks(R: FiniteRing, allowed: frozenset) -> list[int]:
+    """Per a, a bitmask of the b with a*b outside the allowed set."""
+
+    def compute() -> list[int]:
+        masks = []
+        for row in R.mul:
+            m = 0
+            for b, p in enumerate(row):
+                if p not in allowed:
+                    m |= 1 << b
+            masks.append(m)
+        return masks
+
+    return ring_memo(R, ("bad", allowed), compute)
+
+
 # --------------------------------------------------------------------------
 # pruned search
 
 def _first_bad_product(
-    mul: list[list[int]], sv: frozenset, fc: tuple[int, ...], gc: tuple[int, ...]
+    mul: tuple[tuple[int, ...], ...], sv: frozenset, fc: tuple[int, ...], gc: tuple[int, ...]
 ) -> tuple:
     for i, a in enumerate(fc):
         row = mul[a]
@@ -334,7 +319,7 @@ def _first_bad_product(
 
 
 def _scan_block_generic(
-    tabs: _Tables,
+    R: FiniteRing,
     d: int,
     sc: frozenset,
     sv: frozenset,
@@ -351,11 +336,11 @@ def _scan_block_generic(
     first such leaf as (f, g, i, j, product) plus the count of candidate nodes
     visited.
     """
-    n = tabs.n
-    cand = tabs.cand_table(sc)
-    bad = tabs.bad_masks(sv)
-    add, mul = tabs.add, tabs.mul
-    zero = tabs.zero
+    n = R.size
+    cand = _cand_table(R, sc)
+    bad = _bad_masks(R, sv)
+    add, mul = R.add, R.mul
+    zero = R.zero
     f = [0] * (d + 1)
     g = [0] * (d + 1)
     pend = [zero] * (2 * d + 1)
@@ -413,17 +398,17 @@ def _scan_block_generic(
 
 
 def _scan_block_d1(
-    tabs: _Tables,
+    R: FiniteRing,
     sc: frozenset,
     sv: frozenset,
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
     """_scan_block_generic unrolled for degree bound 1."""
-    n = tabs.n
-    cand = tabs.cand_table(sc)
-    bad = tabs.bad_masks(sv)
-    add, mul = tabs.add, tabs.mul
-    zero = tabs.zero
+    n = R.size
+    cand = _cand_table(R, sc)
+    bad = _bad_masks(R, sv)
+    add, mul = R.add, R.mul
+    zero = R.zero
     nodes = 0
     rng = range(n)
     for a0 in rng:
@@ -452,17 +437,17 @@ def _scan_block_d1(
 
 
 def _scan_block_d2(
-    tabs: _Tables,
+    R: FiniteRing,
     sc: frozenset,
     sv: frozenset,
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
     """_scan_block_generic unrolled for degree bound 2."""
-    n = tabs.n
-    cand = tabs.cand_table(sc)
-    bad = tabs.bad_masks(sv)
-    add, mul = tabs.add, tabs.mul
-    zero = tabs.zero
+    n = R.size
+    cand = _cand_table(R, sc)
+    bad = _bad_masks(R, sv)
+    add, mul = R.add, R.mul
+    zero = R.zero
     nodes = 0
     rng = range(n)
     for a0 in rng:
@@ -512,12 +497,11 @@ def _search_violation(
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
     """The lexicographically first violating leaf, or None, and the node count."""
-    tabs = _tables(R)
     if d == 1:
-        return _scan_block_d1(tabs, sc, sv, node_budget)
+        return _scan_block_d1(R, sc, sv, node_budget)
     if d == 2:
-        return _scan_block_d2(tabs, sc, sv, node_budget)
-    return _scan_block_generic(tabs, d, sc, sv, node_budget)
+        return _scan_block_d2(R, sc, sv, node_budget)
+    return _scan_block_generic(R, d, sc, sv, node_budget)
 
 
 # --------------------------------------------------------------------------
@@ -532,12 +516,11 @@ def annihilating_pairs(
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
-    tabs = _tables(R)
     sc = _memberset_key(R, members)
-    cand = tabs.cand_table(sc)
-    add, mul = tabs.add, tabs.mul
-    zero = tabs.zero
-    n = tabs.n
+    cand = _cand_table(R, sc)
+    add, mul = R.add, R.mul
+    zero = R.zero
+    n = R.size
     width = d + 1
     g = [0] * width
     pend = [zero] * (2 * d + 1)

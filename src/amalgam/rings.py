@@ -240,7 +240,7 @@ class ElementSet:
             prev = x
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        return x in self.members
 
     def __len__(self) -> int:
         return len(self.members)

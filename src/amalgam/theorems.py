@@ -12,11 +12,10 @@ aggregates per-clause tallies into a deterministic report.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .constructions import amalgamation, direct_product, f_plus_j, matrix_ring, poly_quotient, upper_triangular, zmod
 from .errors import SearchBudgetError
@@ -61,16 +60,17 @@ def _semicommutative_ideal_holds(R: FiniteRing, J: Ideal) -> bool:
 
 
 class Scenario:
-    """One harness instance, with memoized structural predicates.
+    """One harness instance: A, B, f, J with the amalgam, f(A) + J and f^{-1}(J).
 
     Facts about a single ring (property verdicts, nilpotent sets, regular
     central elements, semicommutative ideals) go through the ring memo of
     properties, keyed by table digest, so scenarios that share a base, target
-    or amalgam table compute them once; clear_caches() resets them.  Facts
-    that tie several objects of one scenario together stay in the scenario.
+    or amalgam table compute them once; clear_caches() resets them.  The
+    structural predicates are set expressions over those facts, so a scenario
+    keeps no memo of its own.
     """
 
-    __slots__ = ("base_name", "target_name", "hom", "ideal", "am", "faj", "key", "node_budget", "_memo")
+    __slots__ = ("base_name", "target_name", "hom", "ideal", "am", "faj", "preimage", "key", "node_budget")
 
     def __init__(self, base_name: str, target_name: str, hom: RingHom, ideal: Ideal):
         self.base_name = base_name
@@ -79,11 +79,11 @@ class Scenario:
         self.ideal = ideal
         self.am = amalgamation(hom, ideal)
         self.faj = f_plus_j(hom, ideal)
+        self.preimage = preimage_ideal(hom, ideal)
         fpart = ",".join(map(str, hom.map))
         jpart = ",".join(map(str, ideal.members))
         self.key = f"{base_name}->{target_name}|f=[{fpart}]|J=[{jpart}]"
         self.node_budget: Optional[int] = None
-        self._memo: dict = {}
 
     @property
     def base(self) -> FiniteRing:
@@ -92,11 +92,6 @@ class Scenario:
     @property
     def target(self) -> FiniteRing:
         return self.hom.codomain
-
-    def _get(self, name: str, fn: Callable[[], bool]) -> bool:
-        if name not in self._memo:
-            self._memo[name] = fn()
-        return self._memo[name]
 
     # property verdicts -----------------------------------------------------
 
@@ -121,63 +116,34 @@ class Scenario:
     # structural predicates ---------------------------------------------------
 
     def nil_target_meets_ideal_only_at_zero(self) -> bool:
-        return self._get(
-            "nil_cap_ideal",
-            lambda: nil_set(self.target) & frozenset(self.ideal.members) == {self.target.zero},
-        )
+        return nil_set(self.target) & frozenset(self.ideal.members) == {self.target.zero}
 
     def ideal_radical(self) -> bool:
-        return self._get("ideal_radical", lambda: is_radical_ideal(self.target, self.ideal))
+        return is_radical_ideal(self.target, self.ideal)
 
     def ideal_inside_nil_target(self) -> bool:
-        return self._get(
-            "ideal_in_nil",
-            lambda: frozenset(self.ideal.members) <= nil_set(self.target),
-        )
-
-    def preimage(self) -> Ideal:
-        if "preimage" not in self._memo:
-            self._memo["preimage"] = preimage_ideal(self.hom, self.ideal)
-        return self._memo["preimage"]
+        return frozenset(self.ideal.members) <= nil_set(self.target)
 
     def preimage_meets_nil_base_only_at_zero(self) -> bool:
-        return self._get(
-            "preim_cap_nil",
-            lambda: frozenset(self.preimage().members) & nil_set(self.base) == {self.base.zero},
-        )
+        return frozenset(self.preimage.members) & nil_set(self.base) == {self.base.zero}
 
     def preimage_inside_nil_base(self) -> bool:
-        return self._get(
-            "preim_in_nil",
-            lambda: frozenset(self.preimage().members) <= nil_set(self.base),
-        )
+        return frozenset(self.preimage.members) <= nil_set(self.base)
 
     def hom_injective(self) -> bool:
         return self.hom.injective
 
     def image_meets_ideal_only_at_zero(self) -> bool:
-        return self._get(
-            "image_cap_ideal",
-            lambda: frozenset(self.hom.map) & frozenset(self.ideal.members) == {self.target.zero},
-        )
+        return frozenset(self.hom.map) & frozenset(self.ideal.members) == {self.target.zero}
 
     def ideal_contains_regular_central(self) -> bool:
-        return self._get(
-            "ideal_regcentral",
-            lambda: bool(_regular_central_set(self.target) & frozenset(self.ideal.members)),
-        )
+        return bool(_regular_central_set(self.target) & frozenset(self.ideal.members))
 
     def ideal_semicommutative(self) -> bool:
-        return self._get(
-            "ideal_semicomm",
-            lambda: _semicommutative_ideal_holds(self.target, self.ideal),
-        )
+        return _semicommutative_ideal_holds(self.target, self.ideal)
 
     def preimage_semicommutative(self) -> bool:
-        return self._get(
-            "preim_semicomm",
-            lambda: _semicommutative_ideal_holds(self.base, self.preimage()),
-        )
+        return _semicommutative_ideal_holds(self.base, self.preimage)
 
 
 @dataclass(frozen=True)
@@ -526,10 +492,10 @@ class ClauseSummary:
 
 @dataclass
 class HarnessReport:
-    """Aggregated clause tallies over one corpus run.
+    """Per-clause tallies over one corpus run, and nothing about how it ran.
 
-    elapsed and workers describe the run, not the result; to_json_dict leaves
-    them out so reports from different worker counts compare byte-identically.
+    The tallies are folded in scenario order, so the report is the same for
+    any worker count.
     """
 
     degree: int
@@ -537,9 +503,6 @@ class HarnessReport:
     ring_names: list[str]
     scenario_count: int
     summaries: list[ClauseSummary]
-    outcomes: list[list[ClauseOutcome]]
-    elapsed: float
-    workers: int
 
     @property
     def hard_violation_count(self) -> int:
@@ -589,9 +552,10 @@ class HarnessReport:
 _WORKER_CTX: Optional[tuple[list[Scenario], tuple[TheoremClause, ...], int, Optional[int]]] = None
 
 
-def _worker_init(config: CorpusConfig, degree: int, node_budget: Optional[int]) -> None:
+def _worker_init(scenarios: list[Scenario], degree: int, node_budget: Optional[int]) -> None:
+    # The scenarios come from the parent (inherited under fork); the clauses
+    # are rebuilt here because their lambdas do not pickle.
     global _WORKER_CTX
-    _, scenarios = build_scenarios(config)
     _WORKER_CTX = (scenarios, clause_registry(), degree, node_budget)
 
 
@@ -610,8 +574,9 @@ def run_harness(
 ) -> HarnessReport:
     """Evaluate every clause on every scenario and aggregate the tallies.
 
-    With workers > 1 the scenarios are distributed over processes; results
-    are merged in scenario order, so the report is identical for any worker
+    The scenarios are built once, here; with workers > 1 they are handed to
+    the pool processes, which evaluate them by index.  Outcomes are folded in
+    scenario order as they arrive, so the report is identical for any worker
     count.
     """
     if degree < 0:
@@ -619,33 +584,34 @@ def run_harness(
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     config = config or CorpusConfig()
-    start = time.perf_counter()
     registry = clause_registry()
     corpus, scenarios = build_scenarios(config)
+    summaries = {c.clause_id: ClauseSummary(c.clause_id, c.summary, c.shape) for c in registry}
+
+    def fold(outcomes: Iterable[list[ClauseOutcome]]) -> None:
+        for outcome_list in outcomes:
+            for o in outcome_list:
+                s = summaries[o.clause_id]
+                s.tested += 1
+                if o.status is OutcomeStatus.HYPOTHESIS_FAILED:
+                    s.hypothesis_failed += 1
+                elif o.status is OutcomeStatus.PASSED:
+                    s.passed += 1
+                elif o.status is OutcomeStatus.VIOLATION_CANDIDATE:
+                    s.violation_candidates.append((o.scenario_key, o.detail))
+                elif o.status is OutcomeStatus.HARD_VIOLATION:
+                    s.hard_violations.append((o.scenario_key, o.detail))
+                else:
+                    s.skipped_budget.append((o.scenario_key, o.detail))
+
     if workers == 1:
-        outcomes = [evaluate_scenario(s, registry, degree, node_budget) for s in scenarios]
+        fold(evaluate_scenario(s, registry, degree, node_budget) for s in scenarios)
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(config, degree, node_budget)
+            max_workers=workers, initializer=_worker_init, initargs=(scenarios, degree, node_budget)
         ) as pool:
             chunk = max(1, len(scenarios) // (workers * 4))
-            outcomes = list(pool.map(_worker_eval, range(len(scenarios)), chunksize=chunk))
-
-    summaries = {c.clause_id: ClauseSummary(c.clause_id, c.summary, c.shape) for c in registry}
-    for outcome_list in outcomes:
-        for o in outcome_list:
-            s = summaries[o.clause_id]
-            s.tested += 1
-            if o.status is OutcomeStatus.HYPOTHESIS_FAILED:
-                s.hypothesis_failed += 1
-            elif o.status is OutcomeStatus.PASSED:
-                s.passed += 1
-            elif o.status is OutcomeStatus.VIOLATION_CANDIDATE:
-                s.violation_candidates.append((o.scenario_key, o.detail))
-            elif o.status is OutcomeStatus.HARD_VIOLATION:
-                s.hard_violations.append((o.scenario_key, o.detail))
-            else:
-                s.skipped_budget.append((o.scenario_key, o.detail))
+            fold(pool.map(_worker_eval, range(len(scenarios)), chunksize=chunk))
     for clause in registry:
         s = summaries[clause.clause_id]
         if s.tested > 0 and s.hypothesis_failed == s.tested:
@@ -658,7 +624,4 @@ def run_harness(
         ring_names=[name for name, _ in corpus],
         scenario_count=len(scenarios),
         summaries=[summaries[c.clause_id] for c in registry],
-        outcomes=outcomes,
-        elapsed=time.perf_counter() - start,
-        workers=workers,
     )

@@ -119,6 +119,7 @@ def test_every_generated_ideal_is_closed(n):
     R = zmod(n)
     for g in range(n):
         J = generated_ideal(R, [g])
+        assert [x for x in range(n) if x in J] == list(J.members)
         for x in J.members:
             for y in J.members:
                 assert R.add[x][y] in J

@@ -29,7 +29,6 @@ from amalgam.properties import (
     _scan_block_d1,
     _scan_block_d2,
     _scan_block_generic,
-    _tables,
 )
 from amalgam.rings import FiniteRing, nilradical
 
@@ -218,8 +217,8 @@ def test_unrolled_scans_match_generic_scan(d, unrolled):
     for R in rings:
         for kind in POLY_KINDS:
             sc, sv = _kind_sets(R, kind)
-            want = _scan_block_generic(_tables(R), d, sc, sv, None)
-            assert unrolled(_tables(R), sc, sv, None) == want, (R.provenance, kind)
+            want = _scan_block_generic(R, d, sc, sv, None)
+            assert unrolled(R, sc, sv, None) == want, (R.provenance, kind)
 
 
 def test_pairs_examined_counts_effort(t2):

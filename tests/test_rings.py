@@ -137,7 +137,8 @@ def test_element_set_validation(z4):
     with pytest.raises(ValueError):
         ElementSet(z4, (0, 9))
     s = ElementSet(z4, (0, 2))
-    assert 2 in s and 1 not in s and len(s) == 2
+    assert [x for x in range(z4.size) if x in s] == [0, 2]
+    assert 4 not in s and -1 not in s and len(s) == 2
 
 
 @given(st.integers(min_value=2, max_value=9), st.data())

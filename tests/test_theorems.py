@@ -2,6 +2,7 @@
 hold corpus-wide, escalation separates hard failures from bound artifacts."""
 
 import json
+import os
 
 import pytest
 
@@ -66,7 +67,7 @@ def test_scenario_predicates_on_duplication(dup_scenario):
     assert not sc.image_meets_ideal_only_at_zero()  # 2 sits in both
     assert sc.ideal_inside_nil_target()
     assert not sc.ideal_contains_regular_central()
-    assert sc.preimage().members == (0, 2)
+    assert sc.preimage.members == (0, 2)
     assert sc.base_holds(PropertyKind.ARMENDARIZ, 1)
     assert sc.am_holds(PropertyKind.ARMENDARIZ, 1)
 
@@ -190,9 +191,25 @@ def test_harness_json_omits_volatile_fields(harness_d1):
     assert harness_d1.to_json() == harness_d1.to_json()
 
 
+SMALL_CONFIG = CorpusConfig(zmod_max=4, include_matrix_atoms=False, include_truncated_atoms=False, max_product_size=1, max_amalgam_size=16)
+
+
 def test_small_harness_multiworker_matches_inline():
-    config = CorpusConfig(zmod_max=4, include_matrix_atoms=False, include_truncated_atoms=False, max_product_size=1, max_amalgam_size=16)
-    inline = run_harness(config, degree=1, workers=1)
-    pooled = run_harness(config, degree=1, workers=3)
+    inline = run_harness(SMALL_CONFIG, degree=1, workers=1)
+    pooled = run_harness(SMALL_CONFIG, degree=1, workers=3)
     assert inline.to_json() == pooled.to_json()
     assert inline.hard_violation_count == 0
+
+
+def test_pooled_run_builds_scenarios_once(monkeypatch):
+    pid = os.getpid()
+    real_build = theorems.build_scenarios
+
+    def build_in_parent_only(config):
+        assert os.getpid() == pid, "a pool worker rebuilt the scenarios"
+        return real_build(config)
+
+    monkeypatch.setattr(theorems, "build_scenarios", build_in_parent_only)
+    pooled = run_harness(SMALL_CONFIG, degree=1, workers=2)
+    inline = run_harness(SMALL_CONFIG, degree=1, workers=1)
+    assert pooled.to_json() == inline.to_json()
