@@ -20,6 +20,7 @@ from .errors import (
     HostMismatchError,
     InternalInvariantError,
     InvalidRingError,
+    NotAHomError,
     NotAnIdealError,
     SearchBudgetError,
     SizeBudgetError,
@@ -35,7 +36,6 @@ from .morphisms import (
     is_radical_ideal,
     is_semicommutative_ideal,
     preimage_ideal,
-    verify_hom,
 )
 from .poly import Polynomial, enumerate_polys, format_poly, poly_add, poly_mul, product_coeffs_in_set
 from .properties import (
@@ -55,7 +55,6 @@ from .properties import (
 )
 from .rings import (
     AxiomViolation,
-    ElementSet,
     FiniteRing,
     Law,
     central_idempotents,
@@ -67,6 +66,7 @@ from .rings import (
     nilradical,
     power,
     regular_central,
+    semicommutative_scan,
     split_by_central_idempotent,
     units,
     verify_axioms,

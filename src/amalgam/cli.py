@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .errors import InternalInvariantError, SearchBudgetError
-from .properties import (
-    POLY_KINDS,
-    PropertyKind,
-    Verdict,
-    check_reduced,
-    check_semicommutative,
-    get_report,
-)
+from .properties import POLY_KINDS, PropertyKind, Verdict, get_report
 from .rings import nilradical  # noqa: F401 -- benchmark/tracer.py wraps amalgam.cli.nilradical
 from .specdsl import (
     CheckDirective,
@@ -81,12 +74,7 @@ def _degree(stmt: Union[CheckDirective, HarnessDirective, SearchDirective], opts
 def _run_check(model: SpecModel, stmt: CheckDirective, opts: RunOptions, outcome: _Outcome, emit: Callable[[str], None]) -> None:
     R = model.resolve_ring(stmt.target)
     degree = _degree(stmt, opts)
-    if stmt.prop == "reduced":
-        report = check_reduced(R)
-    elif stmt.prop == "semicommutative":
-        report = check_semicommutative(R)
-    else:
-        report = get_report(R, PropertyKind(stmt.prop), degree)
+    report = get_report(R, PropertyKind(stmt.prop), degree)
     head = f"check {stmt.target} {stmt.prop}"
     if report.kind in POLY_KINDS:
         head += f" degree {degree}"

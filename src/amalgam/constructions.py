@@ -4,11 +4,11 @@ polynomial, quotient, subring, and amalgamated rings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import SizeBudgetError
 from .morphisms import Ideal, RingHom, identity_hom
-from .rings import ElementSet, FiniteRing, ring_closure
+from .rings import FiniteRing, ring_closure
 
 __all__ = [
     "DEFAULT_SIZE_BUDGET",
@@ -30,10 +30,9 @@ __all__ = [
 DEFAULT_SIZE_BUDGET = 256
 
 
-def _check_budget(size: int, budget: Optional[int], what: str) -> None:
-    cap = DEFAULT_SIZE_BUDGET if budget is None else budget
-    if size > cap:
-        raise SizeBudgetError(f"{what} would have {size} elements, budget is {cap}")
+def _check_budget(size: int, what: str) -> None:
+    if size > DEFAULT_SIZE_BUDGET:
+        raise SizeBudgetError(f"{what} would have {size} elements, budget is {DEFAULT_SIZE_BUDGET}")
 
 
 def zmod(n: int) -> FiniteRing:
@@ -47,10 +46,10 @@ def zmod(n: int) -> FiniteRing:
     )
 
 
-def direct_product(R: FiniteRing, S: FiniteRing, *, size_budget: Optional[int] = None) -> FiniteRing:
+def direct_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     """Componentwise product ring; element (r, s) is encoded as r*|S| + s."""
     n = R.size * S.size
-    _check_budget(n, size_budget, "direct product")
+    _check_budget(n, "direct product")
     ns = S.size
     add = []
     mul = []
@@ -99,7 +98,6 @@ def _matrix_like(
     positions: list[tuple[int, int]],
     provenance: str,
     structure: tuple,
-    size_budget: Optional[int],
 ) -> FiniteRing:
     """Shared builder for full and upper-triangular matrix rings over R.
 
@@ -111,7 +109,7 @@ def _matrix_like(
         raise ValueError("matrix dimension must be at least 1")
     width = len(positions)
     n = R.size**width
-    _check_budget(n, size_budget, provenance)
+    _check_budget(n, provenance)
     pos_index = {p: i for i, p in enumerate(positions)}
     zero = R.zero
     addR = R.add
@@ -159,29 +157,25 @@ def _matrix_like(
     )
 
 
-def upper_triangular(R: FiniteRing, k: int, *, size_budget: Optional[int] = None) -> FiniteRing:
+def upper_triangular(R: FiniteRing, k: int) -> FiniteRing:
     """Upper-triangular k x k matrices over R; |R|**(k(k+1)/2) elements."""
     positions = [(r, c) for r in range(k) for c in range(r, k)]
-    return _matrix_like(
-        R, k, positions, f"upper({R.provenance},{k})", ("upper", R, k), size_budget
-    )
+    return _matrix_like(R, k, positions, f"upper({R.provenance},{k})", ("upper", R, k))
 
 
-def matrix_ring(R: FiniteRing, k: int, *, size_budget: Optional[int] = None) -> FiniteRing:
+def matrix_ring(R: FiniteRing, k: int) -> FiniteRing:
     """Full k x k matrices over R; |R|**(k*k) elements."""
     positions = [(r, c) for r in range(k) for c in range(k)]
-    return _matrix_like(
-        R, k, positions, f"matrix({R.provenance},{k})", ("matrix", R, k), size_budget
-    )
+    return _matrix_like(R, k, positions, f"matrix({R.provenance},{k})", ("matrix", R, k))
 
 
-def poly_quotient(R: FiniteRing, k: int, *, size_budget: Optional[int] = None) -> FiniteRing:
+def poly_quotient(R: FiniteRing, k: int) -> FiniteRing:
     """R[t] modulo t**k, as coefficient tuples (c0, ..., c_{k-1})."""
     if k < 1:
         raise ValueError("truncation order must be at least 1")
     width = k
     n = R.size**width
-    _check_budget(n, size_budget, "polynomial quotient")
+    _check_budget(n, "polynomial quotient")
     addR, mulR = R.add, R.mul
     zero = R.zero
     tuples = [_index_to_tuple(i, R.size, width) for i in range(n)]
@@ -270,14 +264,12 @@ def quotient_ring(R: FiniteRing, I: Ideal) -> tuple[FiniteRing, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class Embedding:
-    """A subset of a host ring closed under the operations, with its re-indexed
-    ring when a multiplicative identity exists inside the subset."""
+    """A unital subring of a host ring: its sorted host members and the
+    re-indexed ring, whose identity is the host's."""
 
     host: FiniteRing
     members: tuple[int, ...]
-    ring: Optional[FiniteRing]
-    unital: bool
-    identity: Optional[int]
+    ring: FiniteRing
 
     def sub_index(self, host_idx: int) -> int:
         try:
@@ -285,61 +277,36 @@ class Embedding:
         except ValueError:
             raise ValueError(f"element {host_idx} is not in the subring") from None
 
-    def host_index(self, sub_idx: int) -> int:
-        return self.members[sub_idx]
-
-    def as_set(self) -> ElementSet:
-        return ElementSet(self.host, self.members)
-
 
 def _build_embedding(R: FiniteRing, members: tuple[int, ...], provenance: str) -> Embedding:
+    """Re-index a member set that holds R's identity and is closed under the operations."""
     pos = {x: i for i, x in enumerate(members)}
-    identity = None
-    for e in members:
-        if all(R.mul[e][x] == x and R.mul[x][e] == x for x in members):
-            identity = e
-            break
-    ring = None
-    if identity is not None:
-        add = tuple(tuple(pos[R.add[x][y]] for y in members) for x in members)
-        mul = tuple(tuple(pos[R.mul[x][y]] for y in members) for x in members)
-        ring = FiniteRing(
-            size=len(members),
-            add=add,
-            mul=mul,
-            zero=pos[R.zero],
-            one=pos[identity],
-            labels=tuple(R.label(x) for x in members),
-            provenance=provenance,
-            structure=("subring", R, members),
-        )
-    return Embedding(host=R, members=members, ring=ring, unital=identity is not None, identity=identity)
+    ring = FiniteRing(
+        size=len(members),
+        add=tuple(tuple(pos[R.add[x][y]] for y in members) for x in members),
+        mul=tuple(tuple(pos[R.mul[x][y]] for y in members) for x in members),
+        zero=pos[R.zero],
+        one=pos[R.one],
+        labels=tuple(R.label(x) for x in members),
+        provenance=provenance,
+        structure=("subring", R, members),
+    )
+    return Embedding(host=R, members=members, ring=ring)
 
 
-def subring_closure(R: FiniteRing, seed: Iterable[int], require_one: bool = True) -> Embedding:
-    """Close a seed set under the ring operations.
-
-    With require_one the closure includes the host identity and the result is
-    a unital subring; without it the closure may lack an identity and is then
-    flagged as such (ring is None).
-    """
-    seed = set(seed)
-    if require_one:
-        seed.add(R.one)
-    members = tuple(sorted(ring_closure(R, seed)))
+def subring_closure(R: FiniteRing, seed: Iterable[int]) -> Embedding:
+    """The smallest unital subring of R containing the seed."""
+    members = tuple(sorted(ring_closure(R, {R.one, *seed})))
     return _build_embedding(R, members, f"subring({R.provenance})")
 
 
 def f_plus_j(f: RingHom, J: Ideal) -> Embedding:
-    """The subring f(A) + J of the codomain; always unital since it contains 1."""
+    """The subring f(A) + J of the codomain; it contains 1 = f(1) + 0."""
     if J.host is not f.codomain:
         raise ValueError("ideal must live in the codomain of the homomorphism")
     B = f.codomain
-    carrier = sorted({B.add[f.map[a]][j] for a in range(f.domain.size) for j in J.members})
-    members = tuple(carrier)
-    emb = _build_embedding(B, members, f"faj({f.domain.provenance}->{B.provenance})")
-    assert emb.unital, "f(A) + J contains the identity of the codomain"
-    return emb
+    members = tuple(sorted({B.add[f.map[a]][j] for a in range(f.domain.size) for j in J.members}))
+    return _build_embedding(B, members, f"faj({f.domain.provenance}->{B.provenance})")
 
 
 @dataclass(frozen=True)
@@ -367,7 +334,7 @@ class AmalgamRing:
         return self.hom.codomain
 
 
-def amalgamation(f: RingHom, J: Ideal, *, size_budget: Optional[int] = None) -> AmalgamRing:
+def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
     """Construct A joined with J along f inside A x B.
 
     Elements are indexed as a * |J| + (position of j in J.members); the
@@ -382,7 +349,7 @@ def amalgamation(f: RingHom, J: Ideal, *, size_budget: Optional[int] = None) -> 
     members = J.members
     nj = len(members)
     n = A.size * nj
-    _check_budget(n, size_budget, "amalgamation")
+    _check_budget(n, "amalgamation")
     jpos = {j: p for p, j in enumerate(members)}
     addB, mulB = B.add, B.mul
     negB = B.neg
@@ -437,14 +404,14 @@ def amalgamation(f: RingHom, J: Ideal, *, size_budget: Optional[int] = None) -> 
     return am
 
 
-def duplication(R: FiniteRing, I: Ideal, *, size_budget: Optional[int] = None) -> AmalgamRing:
+def duplication(R: FiniteRing, I: Ideal) -> AmalgamRing:
     """Amalgamated duplication: the amalgamation of R with I along the identity."""
-    return amalgamation(identity_hom(R), I, size_budget=size_budget)
+    return amalgamation(identity_hom(R), I)
 
 
-def embedding_into_product(am: AmalgamRing, *, size_budget: Optional[int] = None) -> Embedding:
+def embedding_into_product(am: AmalgamRing) -> Embedding:
     """The amalgam as a subring of the direct product A x B, for cross-checks."""
     A, B = am.base, am.target
-    P = direct_product(A, B, size_budget=size_budget)
+    P = direct_product(A, B)
     members = tuple(sorted(a * B.size + b for a, b in am.decode))
     return _build_embedding(P, members, f"subring({P.provenance})")

@@ -15,6 +15,14 @@ class NotAnIdealError(ValueError):
     """Raised when a member set is not a two-sided ideal of its host ring."""
 
 
+class NotAHomError(ValueError):
+    """Raised when a map fails to preserve 1, + or *; carries the first HomViolation."""
+
+    def __init__(self, violation):
+        self.violation = violation
+        super().__init__(f"not a homomorphism: {violation}")
+
+
 class HostMismatchError(ValueError):
     """Raised when an operation mixes elements of different host rings."""
 

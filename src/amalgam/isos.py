@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .constructions import AmalgamRing, Embedding, f_plus_j, quotient_ring
-from .morphisms import Ideal, _hom_defect
+from .errors import NotAHomError
+from .morphisms import Ideal, RingHom
 from .rings import FiniteRing
 
 __all__ = ["IsoReport", "check_canonical_isos"]
@@ -37,7 +38,11 @@ class IsoReport:
 def _is_isomorphism(mapping: Sequence[int], source: FiniteRing, target: FiniteRing) -> bool:
     if len(set(mapping)) != source.size or source.size != target.size:
         return False
-    return _hom_defect(source, target, tuple(mapping)) is None
+    try:
+        RingHom(source, target, tuple(mapping))
+    except NotAHomError:
+        return False
+    return True
 
 
 def check_canonical_isos(am: AmalgamRing, faj: Optional[Embedding] = None) -> IsoReport:
@@ -47,7 +52,6 @@ def check_canonical_isos(am: AmalgamRing, faj: Optional[Embedding] = None) -> Is
     ring = am.ring
     if faj is None:
         faj = f_plus_j(am.hom, am.ideal)
-    assert faj.ring is not None
 
     # {0} x J inside the amalgam: elements whose base coordinate is zero.
     k1 = tuple(idx for idx in range(ring.size) if am.proj_a[idx] == A.zero)

@@ -2,26 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import NotAnIdealError, SearchBudgetError
-from .rings import ElementSet, FiniteRing, is_nilpotent, ring_closure
+from .errors import NotAHomError, NotAnIdealError, SearchBudgetError
+from .rings import FiniteRing, ring_closure, semicommutative_scan
 
 __all__ = [
     "Ideal",
     "RingHom",
     "HomViolation",
-    "SemicommutativeIdealReport",
+    "SEARCH_SIZE_CAP",
     "generated_ideal",
     "enumerate_ideals",
-    "verify_hom",
     "identity_hom",
     "enumerate_homs",
     "preimage_ideal",
     "is_radical_ideal",
     "is_semicommutative_ideal",
 ]
+
+SEARCH_SIZE_CAP = 64
 
 
 def _ideal_defect(R: FiniteRing, members: Sequence[int]) -> Optional[str]:
@@ -65,9 +66,6 @@ class Ideal:
     def proper(self) -> bool:
         return len(self.members) < self.host.size
 
-    def as_set(self) -> ElementSet:
-        return ElementSet(self.host, self.members)
-
     def __contains__(self, x: int) -> bool:
         return x in self.members
 
@@ -105,15 +103,16 @@ def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> Ideal:
     return Ideal(R, tuple(sorted(current)))
 
 
-def enumerate_ideals(R: FiniteRing, *, size_cap: int = 64) -> list[Ideal]:
+def enumerate_ideals(R: FiniteRing) -> list[Ideal]:
     """All two-sided ideals, ordered by size then lexicographically by members.
 
     Grows the ideal lattice from the zero ideal by adjoining one new generator
     at a time, memoizing closures; complete because every ideal is reached by
-    adding its members in some order.  No efficiency claim beyond |R| <= 16.
+    adding its members in some order.  No efficiency claim beyond |R| <= 16;
+    rings above SEARCH_SIZE_CAP raise SearchBudgetError.
     """
-    if R.size > size_cap:
-        raise SearchBudgetError(f"ideal enumeration capped at size {size_cap}, ring has {R.size}")
+    if R.size > SEARCH_SIZE_CAP:
+        raise SearchBudgetError(f"ideal enumeration capped at size {SEARCH_SIZE_CAP}, ring has {R.size}")
     zero_ideal = generated_ideal(R, ())
     seen = {zero_ideal.members: zero_ideal}
     frontier = [zero_ideal.members]
@@ -140,7 +139,8 @@ class HomViolation:
 
 @dataclass(frozen=True)
 class RingHom:
-    """A verified unital ring homomorphism, stored as an image table."""
+    """A verified unital ring homomorphism, stored as an image table;
+    construction raises NotAHomError with the first violation."""
 
     domain: FiniteRing
     codomain: FiniteRing
@@ -149,14 +149,14 @@ class RingHom:
     def __post_init__(self) -> None:
         violation = _hom_defect(self.domain, self.codomain, self.map)
         if violation is not None:
-            raise ValueError(f"not a homomorphism: {violation}")
+            raise NotAHomError(violation)
 
     @property
     def injective(self) -> bool:
         return len(set(self.map)) == len(self.map)
 
-    def image(self) -> ElementSet:
-        return ElementSet(self.codomain, tuple(sorted(set(self.map))))
+    def image(self) -> frozenset[int]:
+        return frozenset(self.map)
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -174,14 +174,6 @@ def _hom_defect(A: FiniteRing, B: FiniteRing, m: Sequence[int]) -> Optional[HomV
             if m[A.mul[x][y]] != B.mul[m[x]][m[y]]:
                 return HomViolation("mul", (x, y))
     return None
-
-
-def verify_hom(A: FiniteRing, B: FiniteRing, m: Sequence[int]):
-    """RingHom when the map preserves 1, +, and *; otherwise the first HomViolation."""
-    violation = _hom_defect(A, B, tuple(m))
-    if violation is not None:
-        return violation
-    return RingHom(A, B, tuple(m))
 
 
 def identity_hom(R: FiniteRing) -> RingHom:
@@ -233,15 +225,16 @@ def _propagate(A: FiniteRing, B: FiniteRing, amap: dict[int, int]) -> Optional[d
     return current
 
 
-def enumerate_homs(A: FiniteRing, B: FiniteRing, *, size_cap: int = 64) -> list[RingHom]:
+def enumerate_homs(A: FiniteRing, B: FiniteRing) -> list[RingHom]:
     """All unital homomorphisms A -> B, sorted by image table.
 
     Backtracks over images of a generating set; the image of 1 is forced and
     constraint propagation through additive and multiplicative words prunes
-    inconsistent branches early.
+    inconsistent branches early.  Rings above SEARCH_SIZE_CAP raise
+    SearchBudgetError.
     """
-    if A.size > size_cap or B.size > size_cap:
-        raise SearchBudgetError(f"hom enumeration capped at size {size_cap}")
+    if A.size > SEARCH_SIZE_CAP or B.size > SEARCH_SIZE_CAP:
+        raise SearchBudgetError(f"hom enumeration capped at size {SEARCH_SIZE_CAP}")
     gens = ring_generators(A)
     seed = _propagate(A, B, {A.zero: B.zero, A.one: B.one})
     results: list[RingHom] = []
@@ -253,7 +246,7 @@ def enumerate_homs(A: FiniteRing, B: FiniteRing, *, size_cap: int = 64) -> list[
             if len(amap) == A.size:
                 try:
                     results.append(RingHom(A, B, tuple(amap[x] for x in range(A.size))))
-                except ValueError:
+                except NotAHomError:
                     pass
             return
         g = gens[level]
@@ -288,64 +281,7 @@ def is_radical_ideal(R: FiniteRing, J: Ideal) -> bool:
     return all(x in mem for x in range(R.size) if mul[x][x] in mem)
 
 
-@dataclass(frozen=True)
-class SemicommutativeIdealReport:
-    """Zero-product behaviour of a (generally non-unital) ideal.
-
-    holds: the middle factor ranges over J itself (x*y = 0 with x, y in J
-    forces x*r*y = 0 for every r in J).  holds_host_middle quantifies the
-    middle factor over the whole host ring instead; both are reported so the
-    two readings stay comparable.  nil_j_closed records whether the nilpotent
-    part of J is closed under addition and under multiplication by J on both
-    sides, the structural fact a semicommutative J is expected to deliver.
-    """
-
-    ideal: Ideal
-    holds: bool
-    witness: Optional[tuple[int, int, int]]
-    holds_host_middle: bool
-    witness_host_middle: Optional[tuple[int, int, int]]
-    nil_j: tuple[int, ...]
-    nil_j_closed: bool
-
-
-def _middle_scan(R: FiniteRing, members: Sequence[int], middles: Sequence[int]):
-    mul = R.mul
-    zero = R.zero
-    for x in members:
-        row = mul[x]
-        for y in members:
-            if row[y] != zero:
-                continue
-            for r in middles:
-                if mul[row[r]][y] != zero:
-                    return False, (x, r, y)
-    return True, None
-
-
-def is_semicommutative_ideal(R: FiniteRing, J: Ideal) -> SemicommutativeIdealReport:
-    """Check the semicommutativity law inside J, with the host-middle variant alongside."""
-    members = J.members
-    holds, witness = _middle_scan(R, members, members)
-    holds_host, witness_host = _middle_scan(R, members, range(R.size))
-    nil_j = tuple(x for x in members if is_nilpotent(R, x)[0])
-    nil_set = set(nil_j)
-    closed = True
-    add = R.add
-    mul = R.mul
-    for u in nil_j:
-        for v in nil_j:
-            if add[u][v] not in nil_set:
-                closed = False
-        for r in members:
-            if mul[r][u] not in nil_set or mul[u][r] not in nil_set:
-                closed = False
-    return SemicommutativeIdealReport(
-        ideal=J,
-        holds=holds,
-        witness=witness,
-        holds_host_middle=holds_host,
-        witness_host_middle=witness_host,
-        nil_j=nil_j,
-        nil_j_closed=closed,
-    )
+def is_semicommutative_ideal(R: FiniteRing, J: Ideal) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """Whether x*y = 0 forces x*r*y = 0 for x, y, r in J; witness (x, r, y)
+    otherwise, as semicommutative_scan picks it."""
+    return semicommutative_scan(R, J.members, J.members)

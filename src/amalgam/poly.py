@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .errors import HostMismatchError
-from .rings import ElementSet, FiniteRing
+from .rings import FiniteRing
 
 __all__ = [
     "Polynomial",
@@ -95,9 +95,9 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(R, tuple(out))
 
 
-def product_coeffs_in_set(f: Polynomial, g: Polynomial, members: Union[ElementSet, Iterable[int]]) -> bool:
+def product_coeffs_in_set(f: Polynomial, g: Polynomial, members: Iterable[int]) -> bool:
     """Whether every coefficient of f*g lies in the given subset of the host."""
-    allowed = set(members.members) if isinstance(members, ElementSet) else set(members)
+    allowed = set(members)
     return all(c in allowed for c in poly_mul(f, g).coeffs)
 
 

@@ -9,7 +9,6 @@ exact and carries a re-validated witness.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
@@ -19,7 +18,6 @@ from .errors import InternalInvariantError, NotAnIdealError, SearchBudgetError
 from .morphisms import Ideal
 from .poly import Polynomial, poly_mul, product_coeffs_in_set
 from .rings import (
-    ElementSet,
     FiniteRing,
     central_idempotents,
     is_nilpotent,
@@ -177,10 +175,10 @@ class PropertyReport:
     pairs_examined counts the candidate coefficient choices the search walked
     through; the pruned walk discards provably harmless pairs wholesale, so
     this measures effort, not the number of annihilating pairs that exist.
-    Both it and elapsed depend on the engine route (factor split, quotient
-    shortcut) and are excluded from reports that must be byte-identical
-    across worker configurations.  A report is a fact about a table: rings
-    with equal tables share one.
+    It depends on the engine route (factor split, quotient shortcut) and is
+    excluded from reports that must be byte-identical across worker
+    configurations.  A report is a fact about a table: rings with equal
+    tables share one.
     """
 
     kind: PropertyKind
@@ -188,7 +186,6 @@ class PropertyReport:
     verdict: Verdict
     witness: Witness
     pairs_examined: int
-    elapsed: float
 
     @property
     def holds(self) -> bool:
@@ -226,7 +223,7 @@ def clear_caches() -> None:
 
 def nil_set(R: FiniteRing) -> frozenset:
     """The nilpotent elements of R."""
-    return ring_memo(R, "nil", lambda: frozenset(nilradical(R).members))
+    return ring_memo(R, "nil", lambda: nilradical(R))
 
 
 def _nil_quotient(R: FiniteRing) -> Optional[tuple[FiniteRing, tuple[int, ...]]]:
@@ -257,14 +254,6 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
         return _indecomposable_factors(left) + _indecomposable_factors(right)
 
     return ring_memo(R, "factors", compute)
-
-
-def _memberset_key(R: FiniteRing, members: Union[ElementSet, Iterable[int]]) -> frozenset:
-    if isinstance(members, ElementSet):
-        if members.host is not R:
-            raise ValueError("member set belongs to a different ring")
-        return frozenset(members.members)
-    return frozenset(members)
 
 
 def _cand_table(R: FiniteRing, allowed: frozenset) -> list[list[tuple[int, ...]]]:
@@ -507,16 +496,14 @@ def _search_violation(
 # --------------------------------------------------------------------------
 # pair streams
 
-def annihilating_pairs(
-    R: FiniteRing, d: int, members: Union[ElementSet, Iterable[int]]
-) -> Iterator[tuple[Polynomial, Polynomial]]:
+def annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterator[tuple[Polynomial, Polynomial]]:
     """Stream every pair (f, g) of degree bound d with all coefficients of f*g
     inside the member set, in lexicographic (f coefficients, g coefficients)
     order.  Backtracking prunes g prefixes as convolution constraints close.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
-    sc = _memberset_key(R, members)
+    sc = frozenset(members)
     cand = _cand_table(R, sc)
     add, mul = R.add, R.mul
     zero = R.zero
@@ -546,11 +533,9 @@ def annihilating_pairs(
             yield Polynomial(R, fc), Polynomial(R, gc)
 
 
-def naive_annihilating_pairs(
-    R: FiniteRing, d: int, members: Union[ElementSet, Iterable[int]]
-) -> Iterator[tuple[Polynomial, Polynomial]]:
+def naive_annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterator[tuple[Polynomial, Polynomial]]:
     """Reference double enumeration: test every pair of coefficient tuples."""
-    allowed = _memberset_key(R, members)
+    allowed = frozenset(members)
     n = R.size
     for fc in itertools.product(range(n), repeat=d + 1):
         f = Polynomial(R, fc)
@@ -597,7 +582,6 @@ def _poly_property_check(
 ) -> PropertyReport:
     if d < 0:
         raise ValueError("degree bound must be non-negative")
-    start = time.perf_counter()
     sc, sv = _kind_sets(R, kind)
     examined = 0
     if kind in (PropertyKind.NIL_ARMENDARIZ, PropertyKind.WEAK_ARMENDARIZ):
@@ -614,7 +598,7 @@ def _poly_property_check(
             qrep = get_report(quotient[0], PropertyKind.ARMENDARIZ, d, node_budget=node_budget)
             examined += qrep.pairs_examined
             if qrep.verdict is not Verdict.REFUTED:
-                return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start)
+                return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined)
     factors = _indecomposable_factors(R)
     if len(factors) > 1:
         # All three properties split across a direct product at any fixed
@@ -632,16 +616,16 @@ def _poly_property_check(
                 clean = False
                 break
         if clean:
-            return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start)
+            return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined)
     wit, pairs = _search_violation(R, d, sc, sv, node_budget)
     examined += pairs
     if wit is None:
-        return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined, time.perf_counter() - start)
+        return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined)
     witness = PolyWitness(*wit)
     problem = witness.problem(R, kind)
     if problem is not None:
         raise InternalInvariantError(f"{problem}: {witness}")
-    return PropertyReport(kind, d, Verdict.REFUTED, witness, examined, time.perf_counter() - start)
+    return PropertyReport(kind, d, Verdict.REFUTED, witness, examined)
 
 
 def check_armendariz(
@@ -666,7 +650,6 @@ def check_weak_armendariz(
 
 
 def check_reduced(R: FiniteRing) -> PropertyReport:
-    start = time.perf_counter()
     ok, witness = is_reduced(R)
     return PropertyReport(
         PropertyKind.REDUCED,
@@ -674,12 +657,10 @@ def check_reduced(R: FiniteRing) -> PropertyReport:
         Verdict.HOLDS_EXACT if ok else Verdict.REFUTED,
         None if ok else ElementWitness(witness),
         0,
-        time.perf_counter() - start,
     )
 
 
 def check_semicommutative(R: FiniteRing) -> PropertyReport:
-    start = time.perf_counter()
     ok, witness = is_semicommutative_ring(R)
     return PropertyReport(
         PropertyKind.SEMICOMMUTATIVE,
@@ -687,7 +668,6 @@ def check_semicommutative(R: FiniteRing) -> PropertyReport:
         Verdict.HOLDS_EXACT if ok else Verdict.REFUTED,
         None if ok else TripleWitness(*witness),
         0,
-        time.perf_counter() - start,
     )
 
 

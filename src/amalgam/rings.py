@@ -17,7 +17,6 @@ from .errors import InvalidRingError
 __all__ = [
     "Law",
     "AxiomViolation",
-    "ElementSet",
     "FiniteRing",
     "verify_axioms",
     "power",
@@ -31,6 +30,7 @@ __all__ = [
     "central_idempotents",
     "split_by_central_idempotent",
     "is_commutative",
+    "semicommutative_scan",
     "is_semicommutative_ring",
 ]
 
@@ -225,27 +225,6 @@ class FiniteRing:
         return f"FiniteRing({self.provenance}, size={self.size})"
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of a ring's elements, kept as a strictly increasing index tuple."""
-
-    host: FiniteRing
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = -1
-        for x in self.members:
-            if not (prev < x < self.host.size):
-                raise ValueError(f"member list must be strictly increasing and in range, got {self.members}")
-            prev = x
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def power(R: FiniteRing, a: int, k: int) -> int:
     """a**k in R for k >= 0, with a**0 = one."""
     if k < 0:
@@ -282,10 +261,9 @@ def is_nilpotent(R: FiniteRing, a: int) -> tuple[bool, Optional[int]]:
         k += 1
 
 
-def nilradical(R: FiniteRing) -> ElementSet:
+def nilradical(R: FiniteRing) -> frozenset[int]:
     """The set of nilpotent elements.  A set, not an ideal: closure is not assumed."""
-    members = tuple(x for x in range(R.size) if is_nilpotent(R, x)[0])
-    return ElementSet(R, members)
+    return frozenset(x for x in range(R.size) if is_nilpotent(R, x)[0])
 
 
 def ring_closure(R: FiniteRing, seed: Iterable[int]) -> set[int]:
@@ -334,11 +312,11 @@ def is_unit(R: FiniteRing, a: int) -> bool:
     return False
 
 
-def units(R: FiniteRing) -> ElementSet:
-    return ElementSet(R, tuple(x for x in range(R.size) if is_unit(R, x)))
+def units(R: FiniteRing) -> frozenset[int]:
+    return frozenset(x for x in range(R.size) if is_unit(R, x))
 
 
-def regular_central(R: FiniteRing) -> ElementSet:
+def regular_central(R: FiniteRing) -> frozenset[int]:
     """Central elements that are neither left nor right zero divisors.
 
     In a finite ring both translation maps of a regular element are bijections,
@@ -356,7 +334,7 @@ def regular_central(R: FiniteRing) -> ElementSet:
         if len({mul[x][e] for x in range(n)}) != n:
             continue
         members.append(e)
-    return ElementSet(R, tuple(members))
+    return frozenset(members)
 
 
 def central_idempotents(R: FiniteRing) -> tuple[int, ...]:
@@ -412,25 +390,35 @@ def is_commutative(R: FiniteRing) -> bool:
     return all(mul[a][b] == mul[b][a] for a in range(n) for b in range(n))
 
 
-def is_semicommutative_ring(R: FiniteRing) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Whether a*b = 0 forces a*r*b = 0 for every r; witness (a, r, b) otherwise.
+def semicommutative_scan(
+    R: FiniteRing, elems: Sequence[int], middles: Sequence[int]
+) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """Whether a*b = 0 forces a*r*b = 0 for a, b in elems and r in middles.
 
-    The witness is selected by scanning (a, b) pairs lexicographically and then
-    r, so it is the lexicographically smallest (a, b, r) that violates the law.
+    Scans (a, b) pairs lexicographically and then r, so the witness (a, r, b)
+    is the lexicographically smallest (a, b, r) that violates the law.
+    """
+    mul = R.mul
+    zero = R.zero
+    for a in elems:
+        row_a = mul[a]
+        for b in elems:
+            if row_a[b] != zero:
+                continue
+            for r in middles:
+                if mul[row_a[r]][b] != zero:
+                    return False, (a, r, b)
+    return True, None
+
+
+def is_semicommutative_ring(R: FiniteRing) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """Whether a*b = 0 forces a*r*b = 0 for every a, b, r; witness (a, r, b)
+    otherwise, as semicommutative_scan picks it.
+
     Commutative rings satisfy it outright (a*r*b = r*a*b = 0), so the triple
     scan only runs on noncommutative tables.
     """
     if is_commutative(R):
         return True, None
-    n = R.size
-    mul = R.mul
-    zero = R.zero
-    for a in range(n):
-        row_a = mul[a]
-        for b in range(n):
-            if row_a[b] != zero:
-                continue
-            for r in range(n):
-                if mul[row_a[r]][b] != zero:
-                    return False, (a, r, b)
-    return True, None
+    elems = range(R.size)
+    return semicommutative_scan(R, elems, elems)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .constructions import amalgamation, direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
-from .errors import InvalidRingError, SearchBudgetError
-from .morphisms import Ideal, RingHom, enumerate_homs, generated_ideal, verify_hom, _propagate
+from .errors import InvalidRingError, NotAHomError, SearchBudgetError
+from .morphisms import Ideal, RingHom, enumerate_homs, generated_ideal, _propagate
 from .rings import FiniteRing
 
 __all__ = [
@@ -321,6 +321,8 @@ def format_element(R: FiniteRing, idx: int) -> str:
 # parsing
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# A '#' followed by a digit is a raw index literal (#k); any other '#' starts a comment.
+_COMMENT_RE = re.compile(r"#(?!\d)")
 
 
 def _diag(diags: list[Diagnostic], line_no: int, col: int, code: str, message: str) -> None:
@@ -384,7 +386,7 @@ def parse_spec(text: str) -> SpecModel:
         return None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = _COMMENT_RE.split(raw, 1)[0].rstrip()
         if not line.strip():
             continue
         col0 = len(line) - len(line.lstrip()) + 1
@@ -521,11 +523,12 @@ def parse_spec(text: str) -> SpecModel:
                         f"the map does not determine the image of {format_element(dom, missing[0])}; add a mapping for it",
                     )
                     continue
-                result = verify_hom(dom, cod, tuple(closed[x] for x in range(dom.size)))
-                if not isinstance(result, RingHom):
-                    _diag(diags, line_no, col0, "CONSTRAINT", f"the completed map is not a homomorphism: breaks {result.law} at {result.witness}")
+                try:
+                    homs[name] = RingHom(dom, cod, tuple(closed[x] for x in range(dom.size)))
+                except NotAHomError as exc:
+                    v = exc.violation
+                    _diag(diags, line_no, col0, "CONSTRAINT", f"the completed map is not a homomorphism: breaks {v.law} at {v.witness}")
                     continue
-                homs[name] = result
                 statements.append(
                     HomDecl(
                         name, dom_name, cod_name, "map",

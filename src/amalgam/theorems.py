@@ -52,11 +52,11 @@ NIL = PropertyKind.NIL_ARMENDARIZ
 WEAK = PropertyKind.WEAK_ARMENDARIZ
 
 def _regular_central_set(R: FiniteRing) -> frozenset:
-    return ring_memo(R, "regular_central", lambda: frozenset(regular_central(R).members))
+    return ring_memo(R, "regular_central", lambda: regular_central(R))
 
 
 def _semicommutative_ideal_holds(R: FiniteRing, J: Ideal) -> bool:
-    return ring_memo(R, ("semicommutative_ideal", J.members), lambda: is_semicommutative_ideal(R, J).holds)
+    return ring_memo(R, ("semicommutative_ideal", J.members), lambda: is_semicommutative_ideal(R, J)[0])
 
 
 class Scenario:

@@ -116,7 +116,7 @@ def test_criterion_3_triangular_refutes_armendariz_but_not_weak(t2):
 def test_criterion_4_matrix_ring_weak_refutation_non_nilpotent(m2):
     weak = check_weak_armendariz(m2, 1)
     assert weak.verdict is Verdict.REFUTED
-    nil = set(nilradical(m2).members)
+    nil = nilradical(m2)
     assert weak.witness.product not in nil, "weak refutation must produce a non-nilpotent product"
     nil_report = check_nil_armendariz(m2, 1)
     assert nil_report.verdict is Verdict.REFUTED

@@ -150,9 +150,12 @@ def test_interrupt_flushes_partial(monkeypatch):
     model = parse_spec("ring A = zmod 4\ncheck A reduced\ncheck A armendariz degree 1\n")
     assert model.ok
     calls = []
+    real_get_report = cli.get_report
 
-    def interrupt(*args, **kwargs):
-        raise KeyboardInterrupt
+    def interrupt(R, kind, *args, **kwargs):
+        if kind is PropertyKind.ARMENDARIZ:
+            raise KeyboardInterrupt
+        return real_get_report(R, kind, *args, **kwargs)
 
     monkeypatch.setattr(cli, "get_report", interrupt)
     code, envelope = execute_model(model, RunOptions(), emit=lambda line: calls.append(line))

@@ -82,7 +82,7 @@ def test_quotient_ring_collapses_ideal(z4):
 
 def test_subring_closure_finds_unital_core(m2):
     emb = subring_closure(m2, [m2.one])
-    assert emb.unital and emb.ring is not None
+    assert emb.members[emb.ring.one] == m2.one
     assert emb.ring.size == 2
     scalars = subring_closure(m2, [])
     assert scalars.members == (0, m2.one) or m2.one in scalars.members
@@ -138,7 +138,7 @@ def test_embedding_into_product_is_faithful(z4):
     am = duplication(z4, generated_ideal(z4, [2]))
     emb = embedding_into_product(am)
     assert len(emb.members) == am.ring.size
-    assert emb.unital
+    assert emb.members[emb.ring.one] == emb.host.one
 
 
 def test_canonical_isos_on_duplication(z4):

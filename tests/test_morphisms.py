@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amalgam.constructions import direct_product, matrix_ring, upper_triangular, zmod
-from amalgam.errors import NotAnIdealError
+from amalgam.errors import NotAHomError, NotAnIdealError, SearchBudgetError, SizeBudgetError
 from amalgam.morphisms import (
     Ideal,
     RingHom,
@@ -16,7 +16,6 @@ from amalgam.morphisms import (
     is_semicommutative_ideal,
     preimage_ideal,
     ring_generators,
-    verify_hom,
 )
 
 
@@ -57,10 +56,10 @@ def test_enumerate_ideals_z6():
 
 
 def test_hom_validation(z4):
-    assert isinstance(verify_hom(z4, z4, (0, 1, 2, 3)), RingHom)
-    bad = verify_hom(z4, z4, (0, 1, 2, 0))
-    assert not isinstance(bad, RingHom)
-    assert bad.law in ("add", "mul")
+    assert isinstance(RingHom(z4, z4, (0, 1, 2, 3)), RingHom)
+    with pytest.raises(NotAHomError) as bad:
+        RingHom(z4, z4, (0, 1, 2, 0))
+    assert bad.value.violation.law in ("add", "mul")
     with pytest.raises(ValueError):
         RingHom(z4, z4, (0, 0, 0, 0))  # not unital
 
@@ -68,7 +67,7 @@ def test_hom_validation(z4):
 def test_identity_hom_properties(z4):
     f = identity_hom(z4)
     assert f.injective
-    assert f.image().members == (0, 1, 2, 3)
+    assert f.image() == {0, 1, 2, 3}
     assert f(2) == 2
 
 
@@ -106,12 +105,24 @@ def test_radical_ideal_detection(z4):
     assert is_radical_ideal(Z8, generated_ideal(Z8, [2]))
 
 
-def test_semicommutative_ideal_report(t2):
-    J = generated_ideal(t2, [0b010])  # strictly upper entries
-    report = is_semicommutative_ideal(t2, J)
-    assert report.holds in (True, False)
-    full = is_semicommutative_ideal(t2, generated_ideal(t2, []))
-    assert full.holds
+def _brute_semicommutative_ideal(R, J):
+    for x in J.members:
+        for y in J.members:
+            for r in J.members:
+                if R.mul[x][y] == R.zero and R.mul[R.mul[x][r]][y] != R.zero:
+                    return False, (x, r, y)
+    return True, None
+
+
+def test_semicommutative_ideal_report(t2, m2):
+    rings = (t2, m2, direct_product(zmod(2), zmod(4)))
+    verdicts = set()
+    for R in rings:
+        for J in enumerate_ideals(R):
+            result = is_semicommutative_ideal(R, J)
+            assert result == _brute_semicommutative_ideal(R, J)
+            verdicts.add(result[0])
+    assert verdicts == {True, False}
 
 
 @given(st.sampled_from([2, 3, 4, 6, 8, 9]))
@@ -131,4 +142,11 @@ def test_every_generated_ideal_is_closed(n):
 def test_enumerated_homs_are_all_verified(params):
     n, m = params
     for f in enumerate_homs(zmod(n), zmod(m)):
-        assert isinstance(verify_hom(zmod(n), zmod(m), f.map), RingHom)
+        assert isinstance(RingHom(zmod(n), zmod(m), f.map), RingHom)
+
+
+def test_size_caps_raise_budget_errors():
+    with pytest.raises(SizeBudgetError):
+        direct_product(zmod(16), zmod(17))
+    with pytest.raises(SearchBudgetError):
+        enumerate_ideals(zmod(65))

@@ -228,3 +228,10 @@ def test_empty_generated_braces_gives_zero_ideal():
 def test_comments_and_blank_lines_ignored():
     m = parse_spec("\n# full line comment\nring A = zmod 4  # trailing comment\n\n")
     assert m.ok and m.rings["A"].size == 4
+
+
+def test_raw_index_literals_are_not_comments():
+    m = parse_spec("ring A = zmod 4\nideal J of A = generated { #2 }  #note, #3 inside a comment\n")
+    assert m.ok and m.ideals["J"].members == (0, 2)
+    bad = parse_spec("ring A = zmod 4\nideal J of A = generated { #9 }\n")
+    assert [d.code for d in bad.diagnostics] == ["CONSTRAINT"]
