@@ -58,6 +58,7 @@ from .rings import (
     FiniteRing,
     Law,
     central_idempotents,
+    induced_ring,
     is_commutative,
     is_nilpotent,
     is_reduced,

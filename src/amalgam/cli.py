@@ -295,6 +295,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_common(p_search)
 
     args = parser.parse_args(argv)
+    if args.degree is not None and args.degree < 0:
+        print(f"--degree must be non-negative, got {args.degree}", file=sys.stderr)
+        return EXIT_FAILURE
     opts = _options_from_args(args)
 
     if args.command == "run":
@@ -325,7 +328,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _model_for_ring(ring_text: str, prop: str, opts: RunOptions, assertion: Optional[str]) -> Optional[SpecModel]:
     """Resolve the check subcommand's ring argument: corpus name or constructor."""
     ring = None
-    for name, candidate in build_corpus(CorpusConfig()):
+    for name, candidate in build_corpus():
         if name == ring_text:
             ring = candidate
             break

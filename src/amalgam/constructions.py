@@ -3,12 +3,13 @@ polynomial, quotient, subring, and amalgamated rings."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import SizeBudgetError
 from .morphisms import Ideal, RingHom, identity_hom
-from .rings import FiniteRing, ring_closure
+from .rings import FiniteRing, induced_ring, ring_closure
 
 __all__ = [
     "DEFAULT_SIZE_BUDGET",
@@ -46,50 +47,51 @@ def zmod(n: int) -> FiniteRing:
     )
 
 
+def _componentwise(tables: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+    """The componentwise operation on tuples whose i-th entry is an index
+    into tables[i], with tuples indexed lexicographically."""
+    out: list[list[int]] = [[0]]
+    for T in tables:
+        m = len(T)
+        out = [[u * m + v for u in row for v in T[a]] for row in out for a in range(m)]
+    return tuple(map(tuple, out))
+
+
 def direct_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     """Componentwise product ring; element (r, s) is encoded as r*|S| + s."""
-    n = R.size * S.size
-    _check_budget(n, "direct product")
-    ns = S.size
-    add = []
-    mul = []
-    for r in range(R.size):
-        for s in range(ns):
-            add_row = []
-            mul_row = []
-            addR, mulR = R.add[r], R.mul[r]
-            addS, mulS = S.add[s], S.mul[s]
-            for r2 in range(R.size):
-                base_a = addR[r2] * ns
-                base_m = mulR[r2] * ns
-                for s2 in range(ns):
-                    add_row.append(base_a + addS[s2])
-                    mul_row.append(base_m + mulS[s2])
-            add.append(tuple(add_row))
-            mul.append(tuple(mul_row))
-    labels = [f"({R.label(r)},{S.label(s)})" for r in range(R.size) for s in range(S.size)]
+    _check_budget(R.size * S.size, "direct product")
     return FiniteRing.from_tables(
-        tuple(add),
-        tuple(mul),
-        labels=labels,
+        _componentwise((R.add, S.add)),
+        _componentwise((R.mul, S.mul)),
+        labels=[f"({R.label(r)},{S.label(s)})" for r in range(R.size) for s in range(S.size)],
         provenance=f"product({R.provenance},{S.provenance})",
         structure=("product", R, S),
     )
 
 
-def _tuple_to_index(entries: Sequence[int], radix: int) -> int:
-    idx = 0
-    for e in entries:
-        idx = idx * radix + e
-    return idx
+def _tuple_ring(
+    R: FiniteRing,
+    width: int,
+    mul: Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]],
+    label: Callable[[tuple[int, ...]], str],
+    what: str,
+    provenance: str,
+    structure: tuple,
+) -> FiniteRing:
+    """The ring on width-tuples over R, added componentwise and multiplied by mul.
 
-
-def _index_to_tuple(idx: int, radix: int, width: int) -> tuple[int, ...]:
-    out = [0] * width
-    for pos in range(width - 1, -1, -1):
-        out[pos] = idx % radix
-        idx //= radix
-    return tuple(out)
+    Tuples are indexed lexicographically, as base-|R| digits.
+    """
+    _check_budget(R.size**width, what)
+    tuples = list(itertools.product(range(R.size), repeat=width))
+    index = {t: i for i, t in enumerate(tuples)}
+    return FiniteRing.from_tables(
+        _componentwise((R.add,) * width),
+        [[index[mul(x, y)] for y in tuples] for x in tuples],
+        labels=[label(t) for t in tuples],
+        provenance=provenance,
+        structure=structure,
+    )
 
 
 def _matrix_like(
@@ -102,59 +104,37 @@ def _matrix_like(
     """Shared builder for full and upper-triangular matrix rings over R.
 
     positions lists the free (row, col) slots in row-major order; all other
-    entries are fixed at zero.  The element index encodes the free entries as
-    base-|R| digits in that order.
+    entries are fixed at zero.  An element is the tuple of its free entries.
     """
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
-    width = len(positions)
-    n = R.size**width
-    _check_budget(n, provenance)
-    pos_index = {p: i for i, p in enumerate(positions)}
-    zero = R.zero
-    addR = R.add
-    mulR = R.mul
+    zero, addR, mulR = R.zero, R.add, R.mul
+    free = set(positions)
 
-    def decode(idx: int) -> list[list[int]]:
-        digits = _index_to_tuple(idx, R.size, width)
+    def square(x: tuple[int, ...]) -> list[list[int]]:
         m = [[zero] * k for _ in range(k)]
-        for (r, c), d in zip(positions, digits):
+        for (r, c), d in zip(positions, x):
             m[r][c] = d
         return m
 
-    def encode(m: Sequence[Sequence[int]]) -> int:
-        return _tuple_to_index([m[r][c] for (r, c) in positions], R.size)
+    def mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        a, b = square(x), square(y)
+        p = {}
+        for r in range(k):
+            for c in range(k):
+                acc = zero
+                for t in range(k):
+                    acc = addR[acc][mulR[a[r][t]][b[t][c]]]
+                if acc != zero and (r, c) not in free:
+                    raise ValueError("product left the configured matrix shape")
+                p[r, c] = acc
+        return tuple(p[rc] for rc in positions)
 
-    mats = [decode(i) for i in range(n)]
-    add = []
-    mul = []
-    for x in mats:
-        add_row = []
-        mul_row = []
-        for y in mats:
-            s = [[addR[x[r][c]][y[r][c]] for c in range(k)] for r in range(k)]
-            add_row.append(encode(s))
-            p = [[zero] * k for _ in range(k)]
-            for r in range(k):
-                for c in range(k):
-                    acc = zero
-                    for t in range(k):
-                        acc = addR[acc][mulR[x[r][t]][y[t][c]]]
-                    p[r][c] = acc
-            if any(p[r][c] != zero and (r, c) not in pos_index for r in range(k) for c in range(k)):
-                raise ValueError("product left the configured matrix shape")
-            mul_row.append(encode(p))
-        add.append(tuple(add_row))
-        mul.append(tuple(mul_row))
-
-    def fmt(m: Sequence[Sequence[int]]) -> str:
-        rows = ",".join("[" + ",".join(R.label(v) for v in row) + "]" for row in m)
+    def label(x: tuple[int, ...]) -> str:
+        rows = ",".join("[" + ",".join(R.label(v) for v in row) + "]" for row in square(x))
         return f"[{rows}]"
 
-    labels = [fmt(m) for m in mats]
-    return FiniteRing.from_tables(
-        tuple(add), tuple(mul), labels=labels, provenance=provenance, structure=structure
-    )
+    return _tuple_ring(R, len(positions), mul, label, provenance, provenance, structure)
 
 
 def upper_triangular(R: FiniteRing, k: int) -> FiniteRing:
@@ -173,32 +153,17 @@ def poly_quotient(R: FiniteRing, k: int) -> FiniteRing:
     """R[t] modulo t**k, as coefficient tuples (c0, ..., c_{k-1})."""
     if k < 1:
         raise ValueError("truncation order must be at least 1")
-    width = k
-    n = R.size**width
-    _check_budget(n, "polynomial quotient")
-    addR, mulR = R.add, R.mul
-    zero = R.zero
-    tuples = [_index_to_tuple(i, R.size, width) for i in range(n)]
-    add = []
-    mul = []
-    for x in tuples:
-        add_row = []
-        mul_row = []
-        for y in tuples:
-            s = tuple(addR[a][b] for a, b in zip(x, y))
-            add_row.append(_tuple_to_index(s, R.size))
-            p = [zero] * width
-            for i, a in enumerate(x):
-                if a == zero:
-                    continue
-                for j, b in enumerate(y):
-                    if i + j < width:
-                        p[i + j] = addR[p[i + j]][mulR[a][b]]
-            mul_row.append(_tuple_to_index(p, R.size))
-        add.append(tuple(add_row))
-        mul.append(tuple(mul_row))
+    zero, addR, mulR = R.zero, R.add, R.mul
 
-    def fmt(coeffs: tuple[int, ...]) -> str:
+    def mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        p = [zero] * k
+        for i, a in enumerate(x):
+            if a != zero:
+                for j, b in enumerate(y[: k - i]):
+                    p[i + j] = addR[p[i + j]][mulR[a][b]]
+        return tuple(p)
+
+    def label(coeffs: tuple[int, ...]) -> str:
         terms = []
         for i, c in enumerate(coeffs):
             if c == zero:
@@ -211,13 +176,8 @@ def poly_quotient(R: FiniteRing, k: int) -> FiniteRing:
                 terms.append(t if c == R.one else f"{base} {t}")
         return " + ".join(terms) if terms else R.label(zero)
 
-    labels = [fmt(t) for t in tuples]
-    return FiniteRing.from_tables(
-        tuple(add),
-        tuple(mul),
-        labels=labels,
-        provenance=f"polyquot({R.provenance},{k})",
-        structure=("polyquot", R, k),
+    return _tuple_ring(
+        R, k, mul, label, "polynomial quotient", f"polyquot({R.provenance},{k})", ("polyquot", R, k)
     )
 
 
@@ -243,19 +203,12 @@ def quotient_ring(R: FiniteRing, I: Ideal) -> tuple[FiniteRing, tuple[int, ...]]
     reps = sorted(set(coset_rep.values()))
     rep_index = {rep: i for i, rep in enumerate(reps)}
     surjection = tuple(rep_index[coset_rep[x]] for x in range(R.size))
-    qadd = tuple(
-        tuple(surjection[R.add[a][b]] for b in reps) for a in reps
-    )
-    qmul = tuple(
-        tuple(surjection[R.mul[a][b]] for b in reps) for a in reps
-    )
-    Q = FiniteRing(
-        size=len(reps),
-        add=qadd,
-        mul=qmul,
-        zero=surjection[R.zero],
-        one=surjection[R.one],
-        labels=tuple(f"[{R.label(rep)}]" for rep in reps),
+    Q = induced_ring(
+        R,
+        reps,
+        surjection,
+        R.one,
+        labels=[f"[{R.label(rep)}]" for rep in reps],
         provenance=f"quotient({R.provenance} / {len(members)})",
         structure=("quotient", R, surjection),
     )
@@ -281,16 +234,7 @@ class Embedding:
 def _build_embedding(R: FiniteRing, members: tuple[int, ...], provenance: str) -> Embedding:
     """Re-index a member set that holds R's identity and is closed under the operations."""
     pos = {x: i for i, x in enumerate(members)}
-    ring = FiniteRing(
-        size=len(members),
-        add=tuple(tuple(pos[R.add[x][y]] for y in members) for x in members),
-        mul=tuple(tuple(pos[R.mul[x][y]] for y in members) for x in members),
-        zero=pos[R.zero],
-        one=pos[R.one],
-        labels=tuple(R.label(x) for x in members),
-        provenance=provenance,
-        structure=("subring", R, members),
-    )
+    ring = induced_ring(R, members, pos, R.one, provenance=provenance, structure=("subring", R, members))
     return Embedding(host=R, members=members, ring=ring)
 
 
@@ -314,16 +258,13 @@ class AmalgamRing:
     """The amalgamation of A with the ideal J along f: pairs (a, f(a) + j).
 
     decode maps each element index to (a, b) with a in A and b = f(a) + j in B;
-    jpart gives the j summand; proj_a and proj_b are the coordinate maps.
+    it is the only element map: the j summand is b - f(a).
     """
 
     ring: FiniteRing
     hom: RingHom
     ideal: Ideal
     decode: tuple[tuple[int, int], ...]
-    jpart: tuple[int, ...]
-    proj_a: tuple[int, ...]
-    proj_b: tuple[int, ...]
 
     @property
     def base(self) -> FiniteRing:
@@ -351,55 +292,24 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
     n = A.size * nj
     _check_budget(n, "amalgamation")
     jpos = {j: p for p, j in enumerate(members)}
-    addB, mulB = B.add, B.mul
-    negB = B.neg
+    addB, mulA, mulB = B.add, A.mul, B.mul
     fmap = f.map
-
-    decode = []
-    jpart = []
-    for a in range(A.size):
-        fa = fmap[a]
-        for j in members:
-            decode.append((a, addB[fa][j]))
-            jpart.append(j)
-
-    add_rows = []
+    decode = tuple((a, addB[fmap[a]][j]) for a in range(A.size) for j in members)
+    minus_f = [B.neg[b] for b in fmap]
     mul_rows = []
-    addA, mulA = A.add, A.mul
-    for idx1 in range(n):
-        a1, b1 = decode[idx1]
-        j1 = jpart[idx1]
-        add_row = []
-        mul_row = []
-        for idx2 in range(n):
-            a2, b2 = decode[idx2]
-            j2 = jpart[idx2]
-            add_row.append(addA[a1][a2] * nj + jpos[addB[j1][j2]])
-            ap = mulA[a1][a2]
-            bp = mulB[b1][b2]
-            jp = addB[bp][negB[fmap[ap]]]
-            mul_row.append(ap * nj + jpos[jp])
-        add_rows.append(tuple(add_row))
-        mul_rows.append(tuple(mul_row))
-
+    for a1, b1 in decode:
+        row_a, row_b = mulA[a1], mulB[b1]
+        mul_rows.append(tuple(row_a[a2] * nj + jpos[addB[row_b[b2]][minus_f[row_a[a2]]]] for a2, b2 in decode))
     ring = FiniteRing(
         size=n,
-        add=tuple(add_rows),
+        add=_componentwise((A.add, [[jpos[addB[x][y]] for y in members] for x in members])),
         mul=tuple(mul_rows),
         zero=A.zero * nj + jpos[B.zero],
         one=A.one * nj + jpos[B.zero],
         labels=tuple(f"({A.label(a)},{B.label(b)})" for a, b in decode),
         provenance=f"amalgam({A.provenance}, {B.provenance}, |J|={nj})",
     )
-    am = AmalgamRing(
-        ring=ring,
-        hom=f,
-        ideal=J,
-        decode=tuple(decode),
-        jpart=tuple(jpart),
-        proj_a=tuple(a for a, _ in decode),
-        proj_b=tuple(b for _, b in decode),
-    )
+    am = AmalgamRing(ring=ring, hom=f, ideal=J, decode=decode)
     object.__setattr__(ring, "structure", ("amalgam", am))
     return am
 

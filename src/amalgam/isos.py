@@ -54,17 +54,17 @@ def check_canonical_isos(am: AmalgamRing, faj: Optional[Embedding] = None) -> Is
         faj = f_plus_j(am.hom, am.ideal)
 
     # {0} x J inside the amalgam: elements whose base coordinate is zero.
-    k1 = tuple(idx for idx in range(ring.size) if am.proj_a[idx] == A.zero)
+    k1 = tuple(idx for idx in range(ring.size) if am.decode[idx][0] == A.zero)
     q1, surj1 = quotient_ring(ring, Ideal(ring, k1))
     reps1 = _coset_reps(surj1, q1.size)
-    map1 = [am.proj_a[rep] for rep in reps1]
+    map1 = [am.decode[rep][0] for rep in reps1]
     ok1 = _is_isomorphism(map1, q1, A)
 
     # f^{-1}(J) x {0}: the kernel of the second projection.
-    k2 = tuple(idx for idx in range(ring.size) if am.proj_b[idx] == B.zero)
+    k2 = tuple(idx for idx in range(ring.size) if am.decode[idx][1] == B.zero)
     q2, surj2 = quotient_ring(ring, Ideal(ring, k2))
     reps2 = _coset_reps(surj2, q2.size)
-    map2 = [faj.sub_index(am.proj_b[rep]) for rep in reps2]
+    map2 = [faj.sub_index(am.decode[rep][1]) for rep in reps2]
     ok2 = _is_isomorphism(map2, q2, faj.ring)
 
     f = am.hom
@@ -72,7 +72,7 @@ def check_canonical_isos(am: AmalgamRing, faj: Optional[Embedding] = None) -> Is
     disjoint = f.injective and image.intersection(am.ideal.members) == {B.zero}
     ok3: Optional[bool] = None
     if disjoint:
-        mapping = [faj.sub_index(am.proj_b[idx]) for idx in range(ring.size)]
+        mapping = [faj.sub_index(b) for _, b in am.decode]
         ok3 = _is_isomorphism(mapping, ring, faj.ring)
 
     return IsoReport(

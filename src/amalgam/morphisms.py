@@ -158,9 +158,6 @@ class RingHom:
     def image(self) -> frozenset[int]:
         return frozenset(self.map)
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
 
 def _hom_defect(A: FiniteRing, B: FiniteRing, m: Sequence[int]) -> Optional[HomViolation]:
     if len(m) != A.size or any(not (0 <= v < B.size) for v in m):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidRingError
 
@@ -19,6 +19,7 @@ __all__ = [
     "AxiomViolation",
     "FiniteRing",
     "verify_axioms",
+    "induced_ring",
     "power",
     "is_nilpotent",
     "nilradical",
@@ -61,8 +62,12 @@ class AxiomViolation:
     witness: tuple[int, ...]
 
 
-def _scan_tables(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Optional[AxiomViolation]:
-    """Exhaustive O(n^3) axiom scan; returns the first violation in canonical order."""
+def verify_axioms(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Optional[AxiomViolation]:
+    """Check candidate tables against every ring axiom; None means the tables pass.
+
+    The O(n^3) scan is deterministic: laws in the order of the Law enum,
+    witnesses lexicographically smallest within each law.
+    """
     n = len(add)
     # Structural well-formedness first: nothing else can be evaluated without it.
     for table in (add, mul):
@@ -135,15 +140,6 @@ def _find_mul_identity(mul: Sequence[Sequence[int]]) -> Optional[int]:
         if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
             return e
     return None
-
-
-def verify_axioms(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Optional[AxiomViolation]:
-    """Check candidate tables against every ring axiom; None means the tables pass.
-
-    The scan is deterministic: laws in the order of the Law enum, witnesses
-    lexicographically smallest within each law.
-    """
-    return _scan_tables(add, mul)
 
 
 @dataclass(eq=False)
@@ -223,6 +219,38 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.provenance}, size={self.size})"
+
+
+def induced_ring(
+    R: FiniteRing,
+    reps: Sequence[int],
+    index: Mapping[int, int] | Sequence[int],
+    one: int,
+    *,
+    labels: Optional[Sequence[str]] = None,
+    provenance: str,
+    structure: tuple,
+) -> FiniteRing:
+    """The ring on reps whose sums and products are R's, read back through index.
+
+    index sends each element of R that a sum or product of reps reaches to its
+    position in reps: a position map for a subring, the surjection for a
+    quotient.  one is the element of R whose position is the identity; labels
+    default to R's labels of the reps.  The caller guarantees the tables form a
+    ring (a closed member set, or cosets of a two-sided ideal), so the axiom
+    scan is skipped.
+    """
+    add, mul = R.add, R.mul
+    return FiniteRing(
+        size=len(reps),
+        add=tuple(tuple(index[add[x][y]] for y in reps) for x in reps),
+        mul=tuple(tuple(index[mul[x][y]] for y in reps) for x in reps),
+        zero=index[R.zero],
+        one=index[one],
+        labels=tuple(labels) if labels is not None else tuple(R.label(x) for x in reps),
+        provenance=provenance,
+        structure=structure,
+    )
 
 
 def power(R: FiniteRing, a: int, k: int) -> int:
@@ -366,20 +394,9 @@ def split_by_central_idempotent(R: FiniteRing, e: int) -> tuple[FiniteRing, Fini
     comp = R.sub(R.one, e)
 
     def piece(idem: int) -> FiniteRing:
-        members = sorted({mul[idem][x] for x in range(n)})
+        members = tuple(sorted({mul[idem][x] for x in range(n)}))
         pos = {x: i for i, x in enumerate(members)}
-        add_t = tuple(tuple(pos[R.add[x][y]] for y in members) for x in members)
-        mul_t = tuple(tuple(pos[mul[x][y]] for y in members) for x in members)
-        return FiniteRing(
-            size=len(members),
-            add=add_t,
-            mul=mul_t,
-            zero=pos[R.zero],
-            one=pos[idem],
-            labels=tuple(R.label(x) for x in members),
-            provenance=f"factor({R.provenance})",
-            structure=("factor", R, tuple(members)),
-        )
+        return induced_ring(R, members, pos, idem, provenance=f"factor({R.provenance})", structure=("factor", R, members))
 
     return piece(e), piece(comp)
 

@@ -342,26 +342,35 @@ def _brace_body(rest: str) -> Optional[str]:
     return body
 
 
-def _parse_options(tokens: list[str], allowed: dict[str, bool]) -> tuple[dict[str, object], Optional[str]]:
-    """Parse trailing `key value` option pairs; allowed maps key -> wants int."""
+def _parse_options(
+    tokens: list[str], allowed: dict[str, bool], diags: list[Diagnostic], line_no: int, line: str
+) -> Optional[dict[str, object]]:
+    """Parse trailing `key value` option pairs; allowed maps key -> wants a
+    non-negative int.  The first bad pair is reported to diags and gives None."""
+    col0 = len(line) - len(line.lstrip()) + 1
     opts: dict[str, object] = {}
-    i = 0
-    while i < len(tokens):
+    for i in range(0, len(tokens), 2):
         key = tokens[i]
         if key not in allowed:
-            return opts, f"unexpected token {key!r}"
+            _diag(diags, line_no, col0, "SYNTAX", f"unexpected token {key!r}")
+            return None
         if i + 1 >= len(tokens):
-            return opts, f"option {key!r} needs a value"
+            _diag(diags, line_no, col0, "SYNTAX", f"option {key!r} needs a value")
+            return None
         value = tokens[i + 1]
-        if allowed[key]:
-            parsed = _parse_int(value)
-            if parsed is None:
-                return opts, f"option {key!r} needs an integer, got {value!r}"
-            opts[key] = parsed
-        else:
+        if not allowed[key]:
             opts[key] = value
-        i += 2
-    return opts, None
+            continue
+        parsed = _parse_int(value)
+        if parsed is None:
+            _diag(diags, line_no, col0, "SYNTAX", f"option {key!r} needs an integer, got {value!r}")
+            return None
+        if parsed < 0:
+            col = line.find(value, line.find(key)) + 1
+            _diag(diags, line_no, col, "CONSTRAINT", f"option {key!r} must be non-negative, got {parsed}")
+            return None
+        opts[key] = parsed
+    return opts
 
 
 def parse_spec(text: str) -> SpecModel:
@@ -581,9 +590,8 @@ def parse_spec(text: str) -> SpecModel:
                 continue
             if lookup_ring(target, line_no, line.find(target) + 1) is None:
                 continue
-            opts, err = _parse_options(rest[2:], {"degree": True, "assert": False})
-            if err:
-                _diag(diags, line_no, col0, "SYNTAX", err)
+            opts = _parse_options(rest[2:], {"degree": True, "assert": False}, diags, line_no, line)
+            if opts is None:
                 continue
             assertion = opts.get("assert")
             if assertion is not None and assertion not in ("holds", "refuted"):
@@ -592,9 +600,8 @@ def parse_spec(text: str) -> SpecModel:
             statements.append(CheckDirective(target, prop, opts.get("degree"), assertion))
 
         elif head == "harness":
-            opts, err = _parse_options(tokens[1:], {"degree": True})
-            if err:
-                _diag(diags, line_no, col0, "SYNTAX", err)
+            opts = _parse_options(tokens[1:], {"degree": True}, diags, line_no, line)
+            if opts is None:
                 continue
             statements.append(HarnessDirective(opts.get("degree")))
 
@@ -607,9 +614,8 @@ def parse_spec(text: str) -> SpecModel:
             if goal not in GOALS:
                 _diag(diags, line_no, line.find(goal) + 1, "UNKNOWN_CONSTRUCTOR", f"unknown goal {goal!r}; expected one of {', '.join(GOALS)}")
                 continue
-            opts, err = _parse_options(rest[1:], {"degree": True, "max-size": True})
-            if err:
-                _diag(diags, line_no, col0, "SYNTAX", err)
+            opts = _parse_options(rest[1:], {"degree": True, "max-size": True}, diags, line_no, line)
+            if opts is None:
                 continue
             statements.append(SearchDirective(goal, opts.get("degree"), opts.get("max-size")))
 

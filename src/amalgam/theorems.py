@@ -80,9 +80,9 @@ class Scenario:
         self.am = amalgamation(hom, ideal)
         self.faj = f_plus_j(hom, ideal)
         self.preimage = preimage_ideal(hom, ideal)
-        fpart = ",".join(map(str, hom.map))
-        jpart = ",".join(map(str, ideal.members))
-        self.key = f"{base_name}->{target_name}|f=[{fpart}]|J=[{jpart}]"
+        fmap = ",".join(map(str, hom.map))
+        members = ",".join(map(str, ideal.members))
+        self.key = f"{base_name}->{target_name}|f=[{fmap}]|J=[{members}]"
         self.node_budget: Optional[int] = None
 
     @property
@@ -411,34 +411,37 @@ def evaluate_scenario(
 # --------------------------------------------------------------------------
 # corpus
 
+ZMOD_MODULI = range(2, 9)
+MAX_PRODUCT_SIZE = 16
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
-    """Knobs for the ring catalog and scenario enumeration."""
+    """The one harness setting: the largest amalgam a scenario may build.
 
-    zmod_min: int = 2
-    zmod_max: int = 8
-    include_matrix_atoms: bool = True
-    include_truncated_atoms: bool = True
-    max_product_size: int = 16
+    The ring catalog itself is fixed: zmod(n) for n in ZMOD_MODULI, the 2x2
+    upper-triangular and full matrix rings over zmod(2), three truncated
+    polynomial rings, and every product of two of these with at most
+    MAX_PRODUCT_SIZE elements.
+    """
+
     max_amalgam_size: int = 64
 
 
-def build_corpus(config: CorpusConfig = CorpusConfig()) -> list[tuple[str, FiniteRing]]:
+def build_corpus() -> list[tuple[str, FiniteRing]]:
     """Named atoms plus all unordered products of two atoms under the size cap."""
-    atoms: list[tuple[str, FiniteRing]] = []
-    for n in range(config.zmod_min, config.zmod_max + 1):
-        atoms.append((f"zmod({n})", zmod(n)))
-    if config.include_matrix_atoms:
-        atoms.append(("upper(zmod(2),2)", upper_triangular(zmod(2), 2)))
-        atoms.append(("matrix(zmod(2),2)", matrix_ring(zmod(2), 2)))
-    if config.include_truncated_atoms:
-        atoms.append(("polyquot(zmod(2),2)", poly_quotient(zmod(2), 2)))
-        atoms.append(("polyquot(zmod(2),3)", poly_quotient(zmod(2), 3)))
-        atoms.append(("polyquot(zmod(3),2)", poly_quotient(zmod(3), 2)))
+    atoms = [(f"zmod({n})", zmod(n)) for n in ZMOD_MODULI]
+    atoms += [
+        ("upper(zmod(2),2)", upper_triangular(zmod(2), 2)),
+        ("matrix(zmod(2),2)", matrix_ring(zmod(2), 2)),
+        ("polyquot(zmod(2),2)", poly_quotient(zmod(2), 2)),
+        ("polyquot(zmod(2),3)", poly_quotient(zmod(2), 3)),
+        ("polyquot(zmod(3),2)", poly_quotient(zmod(3), 2)),
+    ]
     rings = list(atoms)
     for i, (name_i, ring_i) in enumerate(atoms):
         for name_j, ring_j in atoms[i:]:
-            if ring_i.size * ring_j.size <= config.max_product_size:
+            if ring_i.size * ring_j.size <= MAX_PRODUCT_SIZE:
                 rings.append((f"product({name_i},{name_j})", direct_product(ring_i, ring_j)))
     return rings
 
@@ -449,7 +452,7 @@ def build_scenarios(config: CorpusConfig = CorpusConfig()) -> tuple[list[tuple[s
     Scenario order is canonical: corpus order for A and B, homomorphisms
     sorted by image table, ideals sorted by size then membership.
     """
-    corpus = build_corpus(config)
+    corpus = build_corpus()
     ideal_cache: dict[str, list[Ideal]] = {}
     scenarios: list[Scenario] = []
     for base_name, A in corpus:
@@ -525,7 +528,7 @@ class HarnessReport:
             "corpus": {
                 "rings": list(self.ring_names),
                 "scenario_count": self.scenario_count,
-                "max_product_size": self.config.max_product_size,
+                "max_product_size": MAX_PRODUCT_SIZE,
                 "max_amalgam_size": self.config.max_amalgam_size,
             },
             "clauses": {

@@ -36,7 +36,7 @@ def pq22():
 
 @pytest.fixture(scope="session")
 def corpus():
-    return build_corpus(CorpusConfig())
+    return build_corpus()
 
 
 @pytest.fixture(scope="session")

@@ -64,6 +64,21 @@ def test_run_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["check", "zmod 4", "armendariz"], ["harness"], ["search", "weak-not-nil"]])
+def test_negative_degree_flag_is_rejected(argv, capsys):
+    assert main(argv + ["--degree", "-1"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert "--degree must be non-negative, got -1" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_degree_in_spec_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "neg.spec"
+    path.write_text("ring A = zmod 4\ncheck A armendariz degree -1\n")
+    assert main(["run", str(path)]) == EXIT_FAILURE
+    assert f"{path}:line 2:27: CONSTRAINT" in capsys.readouterr().err
+
+
 def test_assert_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "assert.spec"
     path.write_text("ring T = upper(zmod 2 ...)")

@@ -1,5 +1,7 @@
 """Ring constructors and the amalgamation: shapes, labels, algebraic identities."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,8 +19,8 @@ from amalgam.constructions import (
     zmod,
 )
 from amalgam.isos import check_canonical_isos
-from amalgam.morphisms import Ideal, RingHom, enumerate_homs, generated_ideal, identity_hom
-from amalgam.rings import is_commutative, verify_axioms
+from amalgam.morphisms import Ideal, RingHom, enumerate_homs, enumerate_ideals, generated_ideal, identity_hom
+from amalgam.rings import FiniteRing, central_idempotents, is_commutative, split_by_central_idempotent, verify_axioms
 
 
 def test_zmod_rejects_degenerate_sizes():
@@ -129,9 +131,10 @@ def test_amalgam_jpart_consistency(z4):
     am = duplication(z4, generated_ideal(z4, [2]))
     fmap = am.hom.map
     B = am.target
+    J = am.ideal
     for idx, (a, b) in enumerate(am.decode):
-        assert B.add[fmap[a]][am.jpart[idx]] == b
-        assert am.proj_a[idx] == a and am.proj_b[idx] == b
+        assert B.sub(b, fmap[a]) == J.members[idx % len(J.members)]
+        assert a == idx // len(J.members)
 
 
 def test_embedding_into_product_is_faithful(z4):
@@ -181,3 +184,40 @@ def test_poly_quotients_stay_rings(params):
     Q = poly_quotient(zmod(n), k)
     assert verify_axioms(Q.add, Q.mul) is None
     assert Q.size == n ** k
+
+
+def _frozen(value):
+    """A structure tuple with every ring in it replaced by its digest."""
+    if isinstance(value, FiniteRing):
+        return value.digest()
+    if isinstance(value, tuple):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+# sha256 over the rings below.  Spec element literals, recorded witnesses and
+# benchmark/refs.json all name elements by index, so any change to an
+# element's index, label, provenance or structure must move this on purpose.
+CONSTRUCTOR_FINGERPRINT = "e09db958d844e869dd86c83620bd909c641bf2dfe5c8f99f4815d6af825ed064"
+
+
+def test_constructor_indexing_is_frozen(corpus):
+    bases = [R for _, R in corpus] + [
+        upper_triangular(zmod(3), 2),
+        matrix_ring(zmod(3), 2),
+        poly_quotient(zmod(4), 3),
+        upper_triangular(zmod(2), 3),
+    ]
+    rings = []
+    for R in bases:
+        rings.append(R)
+        if R.size <= 32:
+            rings += [quotient_ring(R, I)[0] for I in enumerate_ideals(R) if I.proper]
+            for e in central_idempotents(R):
+                rings += split_by_central_idempotent(R, e)
+        rings.append(subring_closure(R, [R.size - 1]).ring)
+    h = hashlib.sha256()
+    for R in rings:
+        h.update(repr((R.digest(), R.labels, R.provenance, _frozen(R.structure))).encode())
+    assert len(rings) == 266
+    assert h.hexdigest() == CONSTRUCTOR_FINGERPRINT

@@ -68,7 +68,7 @@ def test_identity_hom_properties(z4):
     f = identity_hom(z4)
     assert f.injective
     assert f.image() == {0, 1, 2, 3}
-    assert f(2) == 2
+    assert f.map[2] == 2
 
 
 def test_enumerate_homs_counts(z4):

@@ -235,3 +235,10 @@ def test_raw_index_literals_are_not_comments():
     assert m.ok and m.ideals["J"].members == (0, 2)
     bad = parse_spec("ring A = zmod 4\nideal J of A = generated { #9 }\n")
     assert [d.code for d in bad.diagnostics] == ["CONSTRAINT"]
+
+
+def test_negative_integer_options_are_positioned_constraints():
+    m = parse_spec("ring A = zmod 4\ncheck A armendariz degree -1\nharness degree -2\nsearch weak-not-nil max-size -3\n")
+    assert [(d.line, d.col, d.code) for d in m.diagnostics] == [(2, 27, "CONSTRAINT"), (3, 16, "CONSTRAINT"), (4, 30, "CONSTRAINT")]
+    assert "must be non-negative, got -1" in m.diagnostics[0].message
+    assert [type(s).__name__ for s in m.statements] == ["RingDecl"]

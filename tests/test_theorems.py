@@ -16,7 +16,6 @@ from amalgam.theorems import (
     OutcomeStatus,
     Scenario,
     TheoremClause,
-    build_corpus,
     build_scenarios,
     clause_registry,
     evaluate_clause,
@@ -149,12 +148,6 @@ def test_corpus_inventory(corpus):
     assert max(sizes.values()) <= 16
 
 
-def test_corpus_respects_config():
-    small = build_corpus(CorpusConfig(zmod_max=3, include_matrix_atoms=False, include_truncated_atoms=False, max_product_size=6))
-    names = [n for n, _ in small]
-    assert names == ["zmod(2)", "zmod(3)", "product(zmod(2),zmod(2))", "product(zmod(2),zmod(3))"]
-
-
 def test_scenario_enumeration_shape(scenario_data):
     corpus, scenarios = scenario_data
     assert len(scenarios) == 4285
@@ -191,7 +184,7 @@ def test_harness_json_omits_volatile_fields(harness_d1):
     assert harness_d1.to_json() == harness_d1.to_json()
 
 
-SMALL_CONFIG = CorpusConfig(zmod_max=4, include_matrix_atoms=False, include_truncated_atoms=False, max_product_size=1, max_amalgam_size=16)
+SMALL_CONFIG = CorpusConfig(max_amalgam_size=8)
 
 
 def test_small_harness_multiworker_matches_inline():
