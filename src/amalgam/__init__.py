@@ -50,6 +50,7 @@ from .properties import (
     check_semicommutative,
     check_weak_armendariz,
     get_report,
+    holds,
     naive_annihilating_pairs,
     property_profile,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .errors import InternalInvariantError, SearchBudgetError
-from .properties import POLY_KINDS, PropertyKind, Verdict, get_report
+from .properties import POLY_KINDS, PropertyKind, Verdict, get_report, holds
 from .rings import nilradical  # noqa: F401 -- benchmark/tracer.py wraps amalgam.cli.nilradical
 from .specdsl import (
     CheckDirective,
@@ -172,19 +172,15 @@ def _run_search(stmt: SearchDirective, opts: RunOptions, outcome: _Outcome, emit
     examined = 0
     for name, ring in _search_candidates(max_size):
         examined += 1
+        # Candidates are filtered by verdict alone; only the reported ring
+        # pays for its lex-minimal witness.
         if stmt.goal == "armendariz-refutation":
-            report = get_report(ring, PropertyKind.ARMENDARIZ, degree)
-            if report.verdict is Verdict.REFUTED:
-                found = (name, ring, report)
+            if not holds(ring, PropertyKind.ARMENDARIZ, degree):
+                found = (name, ring, get_report(ring, PropertyKind.ARMENDARIZ, degree))
                 break
-        else:
-            nil_report = get_report(ring, PropertyKind.NIL_ARMENDARIZ, degree)
-            if nil_report.verdict is not Verdict.REFUTED:
-                continue
-            weak_report = get_report(ring, PropertyKind.WEAK_ARMENDARIZ, degree)
-            if weak_report.verdict is not Verdict.REFUTED:
-                found = (name, ring, nil_report)
-                break
+        elif not holds(ring, PropertyKind.NIL_ARMENDARIZ, degree) and holds(ring, PropertyKind.WEAK_ARMENDARIZ, degree):
+            found = (name, ring, get_report(ring, PropertyKind.NIL_ARMENDARIZ, degree))
+            break
     block = {
         "directive": "search",
         "goal": stmt.goal,
@@ -295,9 +291,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_common(p_search)
 
     args = parser.parse_args(argv)
-    if args.degree is not None and args.degree < 0:
-        print(f"--degree must be non-negative, got {args.degree}", file=sys.stderr)
-        return EXIT_FAILURE
+    for flag in ("degree", "max_ring_size", "max_size"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"--{flag.replace('_', '-')} must be non-negative, got {value}", file=sys.stderr)
+            return EXIT_FAILURE
     opts = _options_from_args(args)
 
     if args.command == "run":

@@ -46,6 +46,7 @@ __all__ = [
     "check_weak_armendariz",
     "property_profile",
     "get_report",
+    "holds",
     "ring_memo",
     "nil_set",
     "clear_caches",
@@ -683,6 +684,30 @@ def get_report(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, no
     if kind is PropertyKind.REDUCED:
         return ring_memo(R, (kind, None), lambda: check_reduced(R))
     return ring_memo(R, (kind, None), lambda: check_semicommutative(R))
+
+
+def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_budget: Optional[int] = None) -> bool:
+    """Memoized verdict of get_report(R, kind, d), without a witness.
+
+    A refutation at degree d-1 padded with zeros refutes at degree d: the
+    product coefficients are the same plus zeros, and 0 lies in every
+    constraint set.  So a polynomial kind asks degree d-1 first and answers
+    REFUTED from it with no degree-d search.  Degree 0 never refutes, so the
+    lift starts at d = 2.  A lower-degree probe that runs out of budget falls
+    back to the degree-d report, so a budgeted query is never less decided
+    than get_report.
+    """
+
+    def compute() -> bool:
+        if kind in POLY_KINDS and d is not None and d >= 2:
+            try:
+                if not holds(R, kind, d - 1, node_budget=node_budget):
+                    return False
+            except SearchBudgetError:
+                pass
+        return get_report(R, kind, d, node_budget=node_budget).holds
+
+    return ring_memo(R, ("holds", kind, d), compute)
 
 
 @dataclass(frozen=True)

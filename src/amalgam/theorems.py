@@ -28,7 +28,7 @@ from .morphisms import (
     is_semicommutative_ideal,
     preimage_ideal,
 )
-from .properties import PropertyKind, get_report, nil_set, ring_memo
+from .properties import PropertyKind, get_report, holds, nil_set, ring_memo
 from .rings import FiniteRing, regular_central
 
 __all__ = [
@@ -96,13 +96,13 @@ class Scenario:
     # property verdicts -----------------------------------------------------
 
     def base_holds(self, kind: PropertyKind, d: int) -> bool:
-        return get_report(self.base, kind, d, node_budget=self.node_budget).holds
+        return holds(self.base, kind, d, node_budget=self.node_budget)
 
     def am_holds(self, kind: PropertyKind, d: int) -> bool:
-        return get_report(self.am.ring, kind, d, node_budget=self.node_budget).holds
+        return holds(self.am.ring, kind, d, node_budget=self.node_budget)
 
     def faj_holds(self, kind: PropertyKind, d: int) -> bool:
-        return get_report(self.faj.ring, kind, d, node_budget=self.node_budget).holds
+        return holds(self.faj.ring, kind, d, node_budget=self.node_budget)
 
     def base_reduced(self) -> bool:
         return get_report(self.base, PropertyKind.REDUCED).holds

@@ -1,5 +1,6 @@
-"""Shared fixtures: small named rings, the generated corpus, and one
-degree-1 harness run reused by every test that only reads it."""
+"""Shared fixtures: small named rings, the generated corpus, the distinct
+rings of the small scenarios, and one degree-1 harness run reused by every
+test that only reads it."""
 
 import pytest
 from hypothesis import settings
@@ -43,6 +44,17 @@ def corpus():
 def scenario_data():
     """(corpus, scenarios) at the default configuration; built once."""
     return build_scenarios(CorpusConfig())
+
+
+@pytest.fixture(scope="session")
+def small_rings(corpus):
+    """The corpus rings plus the distinct amalgams and f(A)+J rings of the
+    scenarios up to 16 elements, one per table."""
+    _, scenarios = build_scenarios(CorpusConfig(max_amalgam_size=16))
+    rings = {}
+    for R in [R for _, R in corpus] + [r for sc in scenarios for r in (sc.am.ring, sc.faj.ring)]:
+        rings.setdefault(R.digest(), R)
+    return list(rings.values())
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,9 @@ import pytest
 
 import amalgam.cli as cli
 from amalgam.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_INTERNAL, EXIT_OK, RunOptions, execute_model, main
+from amalgam.constructions import upper_triangular, zmod
 from amalgam.errors import SearchBudgetError
-from amalgam.properties import PropertyKind, PolyWitness
+from amalgam.properties import PropertyKind, PolyWitness, check_armendariz
 from amalgam.specdsl import parse_spec
 
 DUP_SPEC = """\
@@ -72,6 +73,21 @@ def test_negative_degree_flag_is_rejected(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["check", "zmod 4", "armendariz"], ["harness", "--degree", "1"], ["search", "weak-not-nil"]])
+def test_negative_max_ring_size_flag_is_rejected(argv, capsys):
+    assert main(argv + ["--max-ring-size", "-5"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert "--max-ring-size must be non-negative, got -5" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_max_size_flag_is_rejected(capsys):
+    assert main(["search", "weak-not-nil", "--max-size", "-1"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert "--max-size must be non-negative, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_degree_in_spec_is_a_diagnostic(tmp_path, capsys):
     path = tmp_path / "neg.spec"
     path.write_text("ring A = zmod 4\ncheck A armendariz degree -1\n")
@@ -132,6 +148,18 @@ def test_search_finds_refutation(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "found: upper(zmod(2),2)" in out
+
+
+def test_search_reports_the_lex_minimal_witness(tmp_path, capsys):
+    """The hunt filters by verdict; the reported witness is still the one
+    the full search finds at the requested degree."""
+    path = tmp_path / "search.json"
+    argv = ["search", "armendariz-refutation", "--degree", "2", "--max-size", "8", "--json", str(path)]
+    assert main(argv) == EXIT_OK
+    block = json.loads(path.read_text())["reports"][0]
+    ring = upper_triangular(zmod(2), 2)
+    assert block["ring"] == ring.provenance
+    assert block["witness"] == check_armendariz(ring, 2).witness.to_json(ring)
 
 
 def test_search_reports_empty_hunt(capsys):

@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import amalgam.properties as properties
 from amalgam.constructions import direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
 from amalgam.errors import SearchBudgetError
 from amalgam.poly import Polynomial, poly_mul
@@ -22,6 +23,7 @@ from amalgam.properties import (
     check_weak_armendariz,
     clear_caches,
     get_report,
+    holds,
     naive_annihilating_pairs,
     naive_poly_check,
     property_profile,
@@ -163,6 +165,59 @@ def test_refutation_monotone_in_degree(t2, m2):
     for R in (t2, m2):
         assert check_armendariz(R, 1).verdict is Verdict.REFUTED
         assert check_armendariz(R, 2).verdict is Verdict.REFUTED
+
+
+CHECKS = {
+    PropertyKind.ARMENDARIZ: check_armendariz,
+    PropertyKind.NIL_ARMENDARIZ: check_nil_armendariz,
+    PropertyKind.WEAK_ARMENDARIZ: check_weak_armendariz,
+}
+
+
+def test_lifted_verdicts_match_the_direct_search(small_rings):
+    """holds may answer REFUTED at d from a refutation at d-1; every answer
+    must still be the verdict of the full search at d, each side computed
+    from an empty memo."""
+    lifted_refutations = 0
+    for R in small_rings:
+        queries = [(kind, d) for kind in POLY_KINDS for d in ((1, 2, 3) if R.size <= 8 else (1, 2))]
+        clear_caches()
+        lifted = {(kind, d): holds(R, kind, d) for kind, d in queries}
+        clear_caches()
+        direct = {(kind, d): CHECKS[kind](R, d).holds for kind, d in queries}
+        assert lifted == direct, R.provenance
+        lifted_refutations += sum(1 for kind, d in queries if d >= 2 and not direct[kind, d - 1])
+    clear_caches()
+    assert lifted_refutations > 0
+
+
+def test_budgeted_lift_falls_back_to_the_degree_d_report(monkeypatch, m2):
+    """When the degree-1 probe runs out of budget, holds at degree 2 returns
+    or raises exactly what the degree-2 report does, after trying it."""
+    kind = PropertyKind.ARMENDARIZ
+    real_scan = properties._search_violation
+    degrees = []
+
+    def recording_scan(R, d, sc, sv, node_budget):
+        degrees.append(d)
+        return real_scan(R, d, sc, sv, node_budget)
+
+    def outcome(query):
+        clear_caches()
+        try:
+            return query()
+        except SearchBudgetError as exc:
+            return repr(exc)
+
+    for budget in (5, 100, 900):
+        assert outcome(lambda: get_report(m2, kind, 1, node_budget=budget)).startswith("SearchBudgetError")
+        want = outcome(lambda: get_report(m2, kind, 2, node_budget=budget).holds)
+        monkeypatch.setattr(properties, "_search_violation", recording_scan)
+        degrees.clear()
+        assert outcome(lambda: holds(m2, kind, 2, node_budget=budget)) == want
+        monkeypatch.undo()
+        assert degrees == [1, 2]
+    clear_caches()
 
 
 def test_degree_zero_never_refutes():

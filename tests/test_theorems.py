@@ -6,10 +6,11 @@ import os
 
 import pytest
 
+import amalgam.properties as properties
 import amalgam.theorems as theorems
 from amalgam.constructions import zmod
 from amalgam.morphisms import generated_ideal, identity_hom
-from amalgam.properties import PropertyKind, clear_caches
+from amalgam.properties import POLY_KINDS, PropertyKind, clear_caches, holds
 from amalgam.theorems import (
     ClauseOutcome,
     CorpusConfig,
@@ -206,3 +207,26 @@ def test_pooled_run_builds_scenarios_once(monkeypatch):
     pooled = run_harness(SMALL_CONFIG, degree=1, workers=2)
     inline = run_harness(SMALL_CONFIG, degree=1, workers=1)
     assert pooled.to_json() == inline.to_json()
+
+
+def test_harness_skips_scans_a_lower_degree_refutes(monkeypatch):
+    """The harness asks holds, so no degree-d scan runs on a ring whose
+    degree-(d-1) scan, with the same constraint sets, already refutes."""
+    real_scan = properties._search_violation
+    scans = []
+
+    def recording_scan(R, d, sc, sv, node_budget):
+        scans.append((R, d, sc, sv))
+        return real_scan(R, d, sc, sv, node_budget)
+
+    clear_caches()
+    monkeypatch.setattr(properties, "_search_violation", recording_scan)
+    report = run_harness(SMALL_CONFIG, degree=2)
+    monkeypatch.undo()
+    assert report.hard_violation_count == 0
+    assert any(d == 2 for _, d, _, _ in scans)
+    wasted = [(R.provenance, d) for R, d, sc, sv in scans if d >= 2 and real_scan(R, d - 1, sc, sv, None)[0] is not None]
+    assert not wasted, wasted[:5]
+    _, scenarios = build_scenarios(SMALL_CONFIG)
+    assert any(not holds(sc.am.ring, kind, 1) for sc in scenarios if sc.am.ring.size == 8 for kind in POLY_KINDS)
+    clear_caches()
