@@ -217,6 +217,12 @@ def ring_memo(R: FiniteRing, key: Hashable, compute: Callable[[], T]) -> T:
     return value
 
 
+def _stored(R: FiniteRing, key: Hashable):
+    """R's fact named key if it is stored, else None (for facts never None)."""
+    facts = _MEMO.get(R.digest())
+    return None if facts is None else facts.get(key)
+
+
 def clear_caches() -> None:
     """Forget every memoized fact about every ring."""
     _MEMO.clear()
@@ -257,40 +263,54 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     return ring_memo(R, "factors", compute)
 
 
+def _cand_tables(R: FiniteRing, allowed: frozenset) -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
+    """cand[a][p], the b ascending with p + a*b in the allowed set, and
+    mask[a][p], the same b as a bitmask.
+
+    p + a*b is allowed exactly when a*b = s - p for an allowed s, so each row
+    groups b by the value of a*b and joins the groups of those values.  The
+    tables are built per search and never memoized: scans seldom repeat a
+    (ring, allowed) pair, so stored tables would cost memory for no reuse.
+    """
+    n = R.size
+    add, neg = R.add, R.neg
+    targets = sorted(allowed)
+    wanted = [[add[s][neg[p]] for s in targets] for p in range(n)]
+    # allowed = {0} (armendariz, weak) joins one group per entry: share it
+    single = [values[0] for values in wanted] if len(targets) == 1 else None
+    cand, mask = [], []
+    for row in R.mul:
+        groups: list[list[int]] = [[] for _ in range(n)]
+        bits = [0] * n
+        for b, v in enumerate(row):
+            groups[v].append(b)
+            bits[v] |= 1 << b
+        if single is not None:
+            shared = list(map(tuple, groups))
+            cand.append(list(map(shared.__getitem__, single)))
+            mask.append(list(map(bits.__getitem__, single)))
+        else:
+            # the groups of distinct values are disjoint, so sum is union
+            cand.append([tuple(sorted(itertools.chain.from_iterable([groups[v] for v in vs]))) for vs in wanted])
+            mask.append([sum([bits[v] for v in vs]) for vs in wanted])
+    return cand, mask
+
+
 def _cand_table(R: FiniteRing, allowed: frozenset) -> list[list[tuple[int, ...]]]:
     """cand[a][p] lists b ascending with p + a*b in the allowed set."""
-
-    def compute() -> list[list[tuple[int, ...]]]:
-        n = R.size
-        add, mul, neg = R.add, R.mul, R.neg
-        buckets: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-        targets = sorted(allowed)
-        for a in range(n):
-            row = mul[a]
-            bucket_a = buckets[a]
-            for b in range(n):
-                q = neg[row[b]]
-                for s in targets:
-                    bucket_a[add[s][q]].append(b)
-        return [[tuple(b) for b in bucket_a] for bucket_a in buckets]
-
-    return ring_memo(R, ("cand", allowed), compute)
+    return _cand_tables(R, allowed)[0]
 
 
 def _bad_masks(R: FiniteRing, allowed: frozenset) -> list[int]:
     """Per a, a bitmask of the b with a*b outside the allowed set."""
-
-    def compute() -> list[int]:
-        masks = []
-        for row in R.mul:
-            m = 0
-            for b, p in enumerate(row):
-                if p not in allowed:
-                    m |= 1 << b
-            masks.append(m)
-        return masks
-
-    return ring_memo(R, ("bad", allowed), compute)
+    masks = []
+    for row in R.mul:
+        m = 0
+        for b, p in enumerate(row):
+            if p not in allowed:
+                m |= 1 << b
+        masks.append(m)
+    return masks
 
 
 # --------------------------------------------------------------------------
@@ -393,35 +413,42 @@ def _scan_block_d1(
     sv: frozenset,
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
-    """_scan_block_generic unrolled for degree bound 1."""
-    n = R.size
-    cand = _cand_table(R, sc)
+    """_scan_block_generic unrolled for degree bound 1.
+
+    g's last coefficient is chosen by mask intersection, not by a loop: the
+    b1 closing both open constraints (a0*b1 + a1*b0 and a1*b1 in sc) are
+    mask[a0][a1*b0] & mask[a1][0], narrowed to fbad unless b0 already makes
+    the leaf bad, and the lowest set bit is the lex-first witness.  nodes
+    still adds the whole candidate level, so the count is the generic one.
+    """
+    cand, mask = _cand_tables(R, sc)
     bad = _bad_masks(R, sv)
-    add, mul = R.add, R.mul
+    mul = R.mul
     zero = R.zero
     nodes = 0
-    rng = range(n)
+    rng = range(R.size)
     for a0 in rng:
         fb0 = bad[a0]
         cand0 = cand[a0]
+        mask0 = mask[a0]
         level0 = cand0[zero]
         for a1 in rng:
             fbad = fb0 | bad[a1]
             if fbad == 0:
                 continue
             mul1 = mul[a1]
+            close1 = mask[a1][zero]
             nodes += len(level0)
             if node_budget is not None and nodes > node_budget:
                 raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
             for b0 in level0:
-                flag0 = (fbad >> b0) & 1
-                level1 = cand0[mul1[b0]]
-                nodes += len(level1)
-                for b1 in level1:
-                    if not flag0 and not ((fbad >> b1) & 1):
-                        continue
-                    if mul1[b1] not in sc:
-                        continue
+                p1 = mul1[b0]
+                nodes += len(cand0[p1])
+                m = mask0[p1] & close1
+                if not (fbad >> b0) & 1:
+                    m &= fbad
+                if m:
+                    b1 = (m & -m).bit_length() - 1
                     return _first_bad_product(mul, sv, (a0, a1), (b0, b1)), nodes
     return None, nodes
 
@@ -432,46 +459,49 @@ def _scan_block_d2(
     sv: frozenset,
     node_budget: Optional[int],
 ) -> tuple[Optional[tuple], int]:
-    """_scan_block_generic unrolled for degree bound 2."""
-    n = R.size
-    cand = _cand_table(R, sc)
+    """_scan_block_generic unrolled for degree bound 2.
+
+    As in _scan_block_d1, g's last coefficient is the lowest set bit of
+    mask[a0][a1*b1 + a2*b0] & mask[a1][a2*b1] & mask[a2][0], narrowed to
+    fbad unless b0 or b1 already makes the leaf bad.
+    """
+    cand, mask = _cand_tables(R, sc)
     bad = _bad_masks(R, sv)
     add, mul = R.add, R.mul
     zero = R.zero
     nodes = 0
-    rng = range(n)
+    rng = range(R.size)
     for a0 in rng:
         fb0 = bad[a0]
         cand0 = cand[a0]
+        mask0 = mask[a0]
         level0 = cand0[zero]
         for a1 in rng:
             fb01 = fb0 | bad[a1]
             mul1 = mul[a1]
+            mask1 = mask[a1]
             for a2 in rng:
                 fbad = fb01 | bad[a2]
                 if fbad == 0:
                     continue
                 mul2 = mul[a2]
+                close2 = mask[a2][zero]
                 nodes += len(level0)
                 if node_budget is not None and nodes > node_budget:
                     raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
                 for b0 in level0:
                     flag0 = (fbad >> b0) & 1
-                    p1 = mul1[b0]
-                    p2 = mul2[b0]
-                    level1 = cand0[p1]
+                    plus_p2 = add[mul2[b0]]
+                    level1 = cand0[mul1[b0]]
                     nodes += len(level1)
                     for b1 in level1:
-                        flag1 = flag0 | ((fbad >> b1) & 1)
-                        q2 = add[p2][mul1[b1]]
-                        p3 = mul2[b1]
-                        level2 = cand0[q2]
-                        nodes += len(level2)
-                        for b2 in level2:
-                            if not flag1 and not ((fbad >> b2) & 1):
-                                continue
-                            if add[p3][mul1[b2]] not in sc or mul2[b2] not in sc:
-                                continue
+                        q2 = plus_p2[mul1[b1]]
+                        nodes += len(cand0[q2])
+                        m = mask0[q2] & mask1[mul2[b1]] & close2
+                        if not (flag0 or (fbad >> b1) & 1):
+                            m &= fbad
+                        if m:
+                            b2 = (m & -m).bit_length() - 1
                             return (
                                 _first_bad_product(mul, sv, (a0, a1, a2), (b0, b1, b2)),
                                 nodes,
@@ -677,13 +707,18 @@ def check_semicommutative(R: FiniteRing) -> PropertyReport:
 
 def get_report(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_budget: Optional[int] = None) -> PropertyReport:
     """Memoized property check; polynomial kinds require a degree bound."""
-    if kind in POLY_KINDS:
-        if d is None:
-            raise ValueError("polynomial properties need a degree bound")
-        return ring_memo(R, (kind, d), lambda: _poly_property_check(R, kind, d, node_budget))
+    poly = kind in POLY_KINDS
+    if poly and d is None:
+        raise ValueError("polynomial properties need a degree bound")
+    key = (kind, d if poly else None)
+    report = _stored(R, key)
+    if report is not None:
+        return report
+    if poly:
+        return ring_memo(R, key, lambda: _poly_property_check(R, kind, d, node_budget))
     if kind is PropertyKind.REDUCED:
-        return ring_memo(R, (kind, None), lambda: check_reduced(R))
-    return ring_memo(R, (kind, None), lambda: check_semicommutative(R))
+        return ring_memo(R, key, lambda: check_reduced(R))
+    return ring_memo(R, key, lambda: check_semicommutative(R))
 
 
 def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_budget: Optional[int] = None) -> bool:
@@ -697,6 +732,10 @@ def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_bu
     back to the degree-d report, so a budgeted query is never less decided
     than get_report.
     """
+    key = ("holds", kind, d)
+    verdict = _stored(R, key)
+    if verdict is not None:
+        return verdict
 
     def compute() -> bool:
         if kind in POLY_KINDS and d is not None and d >= 2:
@@ -707,7 +746,7 @@ def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_bu
                 pass
         return get_report(R, kind, d, node_budget=node_budget).holds
 
-    return ring_memo(R, ("holds", kind, d), compute)
+    return ring_memo(R, key, compute)
 
 
 @dataclass(frozen=True)

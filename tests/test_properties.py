@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import amalgam.properties as properties
-from amalgam.constructions import direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
+from amalgam.constructions import amalgamation, direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
 from amalgam.errors import SearchBudgetError
+from amalgam.morphisms import Ideal, RingHom
 from amalgam.poly import Polynomial, poly_mul
 from amalgam.properties import (
     POLY_KINDS,
@@ -259,6 +260,13 @@ def test_equal_tables_share_one_report(z4):
         assert get_report(twin, kind, d) is get_report(z4, kind, d)
 
 
+def _holding_amalgam() -> FiniteRing:
+    """A 16-element amalgam of the max_amalgam_size=16 scenarios on which all
+    three kinds hold at degree 2, so every scan of it walks to the end."""
+    A, B = direct_product(zmod(2), zmod(4)), direct_product(zmod(2), zmod(2))
+    return amalgamation(RingHom(A, B, (0, 0, 0, 0, 3, 3, 3, 3)), Ideal(B, (0, 1))).ring
+
+
 @pytest.mark.parametrize("d, unrolled", [(1, _scan_block_d1), (2, _scan_block_d2)])
 def test_unrolled_scans_match_generic_scan(d, unrolled):
     rings = [
@@ -268,12 +276,38 @@ def test_unrolled_scans_match_generic_scan(d, unrolled):
         upper_triangular(zmod(2), 2),
         matrix_ring(zmod(2), 2),
         direct_product(zmod(2), zmod(4)),
+        # wide last levels: 16 elements, and a walk with no early witness
+        poly_quotient(zmod(2), 4),
+        direct_product(zmod(4), zmod(4)),
+        _holding_amalgam(),
     ]
     for R in rings:
         for kind in POLY_KINDS:
             sc, sv = _kind_sets(R, kind)
             want = _scan_block_generic(R, d, sc, sv, None)
             assert unrolled(R, sc, sv, None) == want, (R.provenance, kind)
+
+
+def test_holding_amalgam_holds_at_degree_two():
+    R = _holding_amalgam()
+    assert R.size == 16
+    assert all(get_report(R, kind, 2).holds for kind in POLY_KINDS)
+
+
+def test_search_tables_are_not_memoized(m2):
+    """A search builds its candidate tables, masks and bad masks and drops
+    them; the memo keeps only facts that are read again."""
+    clear_caches()
+    for kind, check in zip(POLY_KINDS, (check_armendariz, check_nil_armendariz, check_weak_armendariz)):
+        assert check(m2, 2).pairs_examined > 0
+        get_report(m2, kind, 2)
+        holds(m2, kind, 2)
+    facts = properties._MEMO[m2.digest()]
+    assert {(kind, 2) for kind in POLY_KINDS} <= facts.keys()
+    assert {("holds", kind, 2) for kind in POLY_KINDS} <= facts.keys()
+    for facts in properties._MEMO.values():
+        for key, value in facts.items():
+            assert not isinstance(value, list), key
 
 
 def test_pairs_examined_counts_effort(t2):
