@@ -259,7 +259,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _options_from_args(args: argparse.Namespace) -> RunOptions:
     return RunOptions(
         degree=args.degree,
-        threads=max(1, args.threads),
+        threads=args.threads,
         max_ring_size=args.max_ring_size,
         revalidate=args.revalidate,
     )
@@ -296,6 +296,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if value is not None and value < 0:
             print(f"--{flag.replace('_', '-')} must be non-negative, got {value}", file=sys.stderr)
             return EXIT_FAILURE
+    if args.threads < 1:
+        print(f"--threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_FAILURE
     opts = _options_from_args(args)
 
     if args.command == "run":

@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import SizeBudgetError
 from .morphisms import Ideal, RingHom, identity_hom
-from .rings import FiniteRing, induced_ring, ring_closure
+from .rings import FiniteRing, induced_ring, ring_closure, shared_ring
 
 __all__ = [
     "DEFAULT_SIZE_BUDGET",
@@ -232,9 +232,14 @@ class Embedding:
 
 
 def _build_embedding(R: FiniteRing, members: tuple[int, ...], provenance: str) -> Embedding:
-    """Re-index a member set that holds R's identity and is closed under the operations."""
-    pos = {x: i for i, x in enumerate(members)}
-    ring = induced_ring(R, members, pos, R.one, provenance=provenance, structure=("subring", R, members))
+    """Re-index a member set that holds R's identity and is closed under the
+    operations; the tables are built once per (R, members) and shared."""
+
+    def build() -> FiniteRing:
+        return induced_ring(R, members, {x: i for i, x in enumerate(members)}, R.one, provenance="", structure=())
+
+    ring = shared_ring(R, ("subring", members), build, tuple(R.label(x) for x in members), provenance)
+    ring.structure = ("subring", R, members)
     return Embedding(host=R, members=members, ring=ring)
 
 
@@ -280,37 +285,46 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
 
     Elements are indexed as a * |J| + (position of j in J.members); the
     second coordinate stored in decode is the full B-part f(a) + j.
+
+    The B-part of (a1, f(a1) + j1) * (a2, f(a2) + j2) is f(a1 a2) + f(a1) j2 +
+    j1 f(a2) + j1 j2, so the tables are built once per A and key: the sum in
+    J, f(a) j and j f(a), and the product in J, all in J-positions.
     """
     if J.host is not f.codomain:
         raise ValueError("ideal must live in the codomain of the homomorphism")
     if not J.proper:
         raise ValueError("amalgamation requires a proper ideal")
-    A = f.domain
-    B = f.codomain
+    A, B = f.domain, f.codomain
     members = J.members
     nj = len(members)
     n = A.size * nj
     _check_budget(n, "amalgamation")
     jpos = {j: p for p, j in enumerate(members)}
-    addB, mulA, mulB = B.add, A.mul, B.mul
-    fmap = f.map
+    addB, mulB, fmap = B.add, B.mul, f.map
+    zpos = jpos[B.zero]
+    jrows = [mulB[x] for x in members]
+    jadd = tuple([tuple([jpos[row[y]] for y in members]) for row in [addB[x] for x in members]])
+    left = tuple([tuple([jpos[row[y]] for y in members]) for row in [mulB[fa] for fa in fmap]])
+    right = tuple([tuple([jpos[row[fa]] for fa in fmap]) for row in jrows])
+    jmul = tuple([tuple([jpos[row[y]] for y in members]) for row in jrows])
+
+    def build() -> FiniteRing:
+        add = _componentwise((A.add, jadd))
+        # (a1, p) * (a2, q) = (a1 a2, right[p][a2]) + (0, left[a1][q] + jmul[p][q])
+        z = A.zero * nj
+        mul = []
+        for xs, row_l in zip([[x * nj for x in r] for r in A.mul], left):
+            for row_r, row_m in zip(right, jmul):
+                cols = [z + jadd[x][y] for x, y in zip(row_l, row_m)]
+                mul.append(tuple([row[c] for row in [add[x + r] for x, r in zip(xs, row_r)] for c in cols]))
+        return FiniteRing(n, add, tuple(mul), z + zpos, A.one * nj + zpos)
+
     decode = tuple((a, addB[fmap[a]][j]) for a in range(A.size) for j in members)
-    minus_f = [B.neg[b] for b in fmap]
-    mul_rows = []
-    for a1, b1 in decode:
-        row_a, row_b = mulA[a1], mulB[b1]
-        mul_rows.append(tuple(row_a[a2] * nj + jpos[addB[row_b[b2]][minus_f[row_a[a2]]]] for a2, b2 in decode))
-    ring = FiniteRing(
-        size=n,
-        add=_componentwise((A.add, [[jpos[addB[x][y]] for y in members] for x in members])),
-        mul=tuple(mul_rows),
-        zero=A.zero * nj + jpos[B.zero],
-        one=A.one * nj + jpos[B.zero],
-        labels=tuple(f"({A.label(a)},{B.label(b)})" for a, b in decode),
-        provenance=f"amalgam({A.provenance}, {B.provenance}, |J|={nj})",
-    )
+    labels = tuple(f"({A.label(a)},{B.label(b)})" for a, b in decode)
+    provenance = f"amalgam({A.provenance}, {B.provenance}, |J|={nj})"
+    ring = shared_ring(A, ("amalgam", zpos, jadd, left, right, jmul), build, labels, provenance)
     am = AmalgamRing(ring=ring, hom=f, ideal=J, decode=decode)
-    object.__setattr__(ring, "structure", ("amalgam", am))
+    ring.structure = ("amalgam", am)
     return am
 
 

@@ -11,19 +11,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .constructions import quotient_ring
 from .errors import InternalInvariantError, NotAnIdealError, SearchBudgetError
 from .morphisms import Ideal
 from .poly import Polynomial, poly_mul, product_coeffs_in_set
 from .rings import (
+    _MEMO,
     FiniteRing,
+    _stored,
     central_idempotents,
+    clear_caches,
     is_nilpotent,
     is_reduced,
     is_semicommutative_ring,
     nilradical,
+    ring_memo,
     split_by_central_idempotent,
 )
 
@@ -194,39 +198,8 @@ class PropertyReport:
 
 
 # --------------------------------------------------------------------------
-# ring memo
-
-T = TypeVar("T")
-_MISSING = object()
-_MEMO: dict[str, dict] = {}
-
-
-def ring_memo(R: FiniteRing, key: Hashable, compute: Callable[[], T]) -> T:
-    """R's derived fact named key, computed on first request.
-
-    Facts are keyed by R.digest(), so rings with equal tables share them;
-    clear_caches() forgets them all.
-    """
-    digest = R.digest()
-    facts = _MEMO.get(digest)
-    if facts is None:
-        facts = _MEMO[digest] = {}
-    value = facts.get(key, _MISSING)
-    if value is _MISSING:
-        value = facts[key] = compute()
-    return value
-
-
-def _stored(R: FiniteRing, key: Hashable):
-    """R's fact named key if it is stored, else None (for facts never None)."""
-    facts = _MEMO.get(R.digest())
-    return None if facts is None else facts.get(key)
-
-
-def clear_caches() -> None:
-    """Forget every memoized fact about every ring."""
-    _MEMO.clear()
-
+# ring facts (ring_memo, its store _MEMO and clear_caches live in rings, where
+# the constructors store tables too, and are re-exported from here)
 
 def nil_set(R: FiniteRing) -> frozenset:
     """The nilpotent elements of R."""
@@ -263,14 +236,16 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     return ring_memo(R, "factors", compute)
 
 
-def _cand_tables(R: FiniteRing, allowed: frozenset) -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
-    """cand[a][p], the b ascending with p + a*b in the allowed set, and
-    mask[a][p], the same b as a bitmask.
+def _cand_tables(R: FiniteRing, allowed: frozenset, target: frozenset) -> tuple[list, list, list]:
+    """cand[a][p], the b ascending with p + a*b in the allowed set;
+    mask[a][p], the same b as a bitmask; and bad[a], the bitmask of the b
+    with a*b outside the target set.
 
     p + a*b is allowed exactly when a*b = s - p for an allowed s, so each row
-    groups b by the value of a*b and joins the groups of those values.  The
-    tables are built per search and never memoized: scans seldom repeat a
-    (ring, allowed) pair, so stored tables would cost memory for no reuse.
+    groups b by the value of a*b and joins the groups of those values; bad[a]
+    is every b but the groups of the target values.  The tables are built per
+    search and never memoized: scans seldom repeat a (ring, allowed) pair, so
+    stored tables would cost memory for no reuse.
     """
     n = R.size
     add, neg = R.add, R.neg
@@ -278,39 +253,25 @@ def _cand_tables(R: FiniteRing, allowed: frozenset) -> tuple[list[list[tuple[int
     wanted = [[add[s][neg[p]] for s in targets] for p in range(n)]
     # allowed = {0} (armendariz, weak) joins one group per entry: share it
     single = [values[0] for values in wanted] if len(targets) == 1 else None
-    cand, mask = [], []
+    full = (1 << n) - 1
+    target_values = sorted(target)
+    cand, mask, bad = [], [], []
     for row in R.mul:
         groups: list[list[int]] = [[] for _ in range(n)]
         bits = [0] * n
         for b, v in enumerate(row):
             groups[v].append(b)
             bits[v] |= 1 << b
+        # the groups of distinct values are disjoint, so sum is union
+        bad.append(full ^ sum(map(bits.__getitem__, target_values)))
         if single is not None:
             shared = list(map(tuple, groups))
             cand.append(list(map(shared.__getitem__, single)))
             mask.append(list(map(bits.__getitem__, single)))
         else:
-            # the groups of distinct values are disjoint, so sum is union
             cand.append([tuple(sorted(itertools.chain.from_iterable([groups[v] for v in vs]))) for vs in wanted])
             mask.append([sum([bits[v] for v in vs]) for vs in wanted])
-    return cand, mask
-
-
-def _cand_table(R: FiniteRing, allowed: frozenset) -> list[list[tuple[int, ...]]]:
-    """cand[a][p] lists b ascending with p + a*b in the allowed set."""
-    return _cand_tables(R, allowed)[0]
-
-
-def _bad_masks(R: FiniteRing, allowed: frozenset) -> list[int]:
-    """Per a, a bitmask of the b with a*b outside the allowed set."""
-    masks = []
-    for row in R.mul:
-        m = 0
-        for b, p in enumerate(row):
-            if p not in allowed:
-                m |= 1 << b
-        masks.append(m)
-    return masks
+    return cand, mask, bad
 
 
 # --------------------------------------------------------------------------
@@ -344,11 +305,12 @@ def _scan_block_generic(
     coefficient, candidates that cannot complete a violation are skipped, so
     the walk only ever lands on leaves that refute the property.  Returns the
     first such leaf as (f, g, i, j, product) plus the count of candidate nodes
-    visited.
+    visited.  Its bad masks come from their definition, not from
+    _cand_tables, so it checks the unrolled scans' masks independently.
     """
     n = R.size
-    cand = _cand_table(R, sc)
-    bad = _bad_masks(R, sv)
+    cand = _cand_tables(R, sc, sv)[0]
+    bad = [sum([1 << b for b, p in enumerate(row) if p not in sv]) for row in R.mul]
     add, mul = R.add, R.mul
     zero = R.zero
     f = [0] * (d + 1)
@@ -421,8 +383,7 @@ def _scan_block_d1(
     the leaf bad, and the lowest set bit is the lex-first witness.  nodes
     still adds the whole candidate level, so the count is the generic one.
     """
-    cand, mask = _cand_tables(R, sc)
-    bad = _bad_masks(R, sv)
+    cand, mask, bad = _cand_tables(R, sc, sv)
     mul = R.mul
     zero = R.zero
     nodes = 0
@@ -465,8 +426,7 @@ def _scan_block_d2(
     mask[a0][a1*b1 + a2*b0] & mask[a1][a2*b1] & mask[a2][0], narrowed to
     fbad unless b0 or b1 already makes the leaf bad.
     """
-    cand, mask = _cand_tables(R, sc)
-    bad = _bad_masks(R, sv)
+    cand, mask, bad = _cand_tables(R, sc, sv)
     add, mul = R.add, R.mul
     zero = R.zero
     nodes = 0
@@ -535,7 +495,7 @@ def annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterato
     if d < 0:
         raise ValueError("degree bound must be non-negative")
     sc = frozenset(members)
-    cand = _cand_table(R, sc)
+    cand = _cand_tables(R, sc, sc)[0]
     add, mul = R.add, R.mul
     zero = R.zero
     n = R.size

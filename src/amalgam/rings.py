@@ -7,10 +7,11 @@ display strings and never participate in computation.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import InvalidRingError
 
@@ -19,6 +20,9 @@ __all__ = [
     "AxiomViolation",
     "FiniteRing",
     "verify_axioms",
+    "ring_memo",
+    "clear_caches",
+    "shared_ring",
     "induced_ring",
     "power",
     "is_nilpotent",
@@ -219,6 +223,58 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.provenance}, size={self.size})"
+
+
+# --------------------------------------------------------------------------
+# ring memo
+
+T = TypeVar("T")
+_MISSING = object()
+_MEMO: dict[str, dict] = {}
+
+
+def ring_memo(R: FiniteRing, key: Hashable, compute: Callable[[], T]) -> T:
+    """R's derived fact named key, computed on first request.
+
+    Facts are keyed by R.digest(), so rings with equal tables share them;
+    clear_caches() forgets them all.
+    """
+    digest = R.digest()
+    facts = _MEMO.get(digest)
+    if facts is None:
+        facts = _MEMO[digest] = {}
+    value = facts.get(key, _MISSING)
+    if value is _MISSING:
+        value = facts[key] = compute()
+    return value
+
+
+def _stored(R: FiniteRing, key: Hashable):
+    """R's fact named key if it is stored, else None (for facts never None)."""
+    facts = _MEMO.get(R.digest())
+    return None if facts is None else facts.get(key)
+
+
+def clear_caches() -> None:
+    """Forget every memoized fact about every ring."""
+    _MEMO.clear()
+
+
+def shared_ring(
+    owner: FiniteRing, key: Hashable, build: Callable[[], FiniteRing], labels: tuple[str, ...], provenance: str
+) -> FiniteRing:
+    """The ring build() makes, under the given labels and provenance; its
+    structure is the caller's to set.
+
+    build() must depend only on owner's tables and key: its ring is stored as
+    owner's fact named key, and every ring returned for that fact shares its
+    add, mul and neg tuples and its digest.
+    """
+    template = ring_memo(owner, key, build)
+    template.digest()
+    ring = copy.copy(template)
+    ring.labels, ring.provenance = labels, provenance
+    return ring
 
 
 def induced_ring(

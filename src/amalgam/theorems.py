@@ -28,8 +28,8 @@ from .morphisms import (
     is_semicommutative_ideal,
     preimage_ideal,
 )
-from .properties import PropertyKind, get_report, holds, nil_set, ring_memo
-from .rings import FiniteRing, regular_central
+from .properties import PropertyKind, get_report, holds, nil_set
+from .rings import FiniteRing, regular_central, ring_memo
 
 __all__ = [
     "Scenario",
@@ -63,11 +63,12 @@ class Scenario:
     """One harness instance: A, B, f, J with the amalgam, f(A) + J and f^{-1}(J).
 
     Facts about a single ring (property verdicts, nilpotent sets, regular
-    central elements, semicommutative ideals) go through the ring memo of
-    properties, keyed by table digest, so scenarios that share a base, target
-    or amalgam table compute them once; clear_caches() resets them.  The
-    structural predicates are set expressions over those facts, so a scenario
-    keeps no memo of its own.
+    central elements, semicommutative ideals) go through the ring memo,
+    keyed by table digest, so scenarios that share a base, target or amalgam
+    table compute them once; the amalgam and f(A) + J tables are themselves
+    memo facts of A and B, built once and shared between scenarios; and
+    clear_caches() resets them all.  The structural predicates are set
+    expressions over those facts, so a scenario keeps no memo of its own.
     """
 
     __slots__ = ("base_name", "target_name", "hom", "ideal", "am", "faj", "preimage", "key", "node_budget")

@@ -1,6 +1,6 @@
-"""Shared fixtures: small named rings, the generated corpus, the distinct
-rings of the small scenarios, and one degree-1 harness run reused by every
-test that only reads it."""
+"""Shared fixtures: small named rings, the generated corpus, the small
+scenarios and their distinct rings, and one degree-1 harness run reused by
+every test that only reads it."""
 
 import pytest
 from hypothesis import settings
@@ -47,12 +47,17 @@ def scenario_data():
 
 
 @pytest.fixture(scope="session")
-def small_rings(corpus):
+def small_scenarios():
+    """The scenarios with amalgams of at most 16 elements."""
+    return build_scenarios(CorpusConfig(max_amalgam_size=16))[1]
+
+
+@pytest.fixture(scope="session")
+def small_rings(corpus, small_scenarios):
     """The corpus rings plus the distinct amalgams and f(A)+J rings of the
     scenarios up to 16 elements, one per table."""
-    _, scenarios = build_scenarios(CorpusConfig(max_amalgam_size=16))
     rings = {}
-    for R in [R for _, R in corpus] + [r for sc in scenarios for r in (sc.am.ring, sc.faj.ring)]:
+    for R in [R for _, R in corpus] + [r for sc in small_scenarios for r in (sc.am.ring, sc.faj.ring)]:
         rings.setdefault(R.digest(), R)
     return list(rings.values())
 

@@ -5,8 +5,10 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+from amalgam import rings
 from amalgam.constructions import (
     AmalgamRing,
+    amalgamation,
     direct_product,
     duplication,
     embedding_into_product,
@@ -20,6 +22,7 @@ from amalgam.constructions import (
 )
 from amalgam.isos import check_canonical_isos
 from amalgam.morphisms import Ideal, RingHom, enumerate_homs, enumerate_ideals, generated_ideal, identity_hom
+from amalgam.properties import clear_caches
 from amalgam.rings import FiniteRing, central_idempotents, is_commutative, split_by_central_idempotent, verify_axioms
 
 
@@ -119,6 +122,67 @@ def test_amalgam_operations_match_componentwise(z4):
             assert (sa, sb) == (z4.add[ax][ay], z4.add[bx][by])
             pa, pb = am.decode[R.mul[x][y]]
             assert (pa, pb) == (z4.mul[ax][ay], z4.mul[bx][by])
+
+
+# sha256 over the amalgam and f(A)+J of every scenario up to 16 elements:
+# digest, zero, one, labels, provenance and decode of the amalgam; digest,
+# labels, provenance and members of f(A)+J.  Tables shared between scenarios
+# must leave every one of these as a per-scenario build makes it.
+SCENARIO_FINGERPRINT = "01220c51410e53bc892fc2d5f786ce6c5d09b1a767c78a04de8e8e80c16a5675"
+
+
+def test_scenario_rings_are_frozen(small_scenarios):
+    h = hashlib.sha256()
+    for sc in small_scenarios:
+        R, F = sc.am.ring, sc.faj.ring
+        fields = (sc.key, R.digest(), R.zero, R.one, R.labels, R.provenance, sc.am.decode)
+        h.update(repr(fields + (F.digest(), F.labels, F.provenance, sc.faj.members)).encode())
+    assert len(small_scenarios) == 1619
+    assert h.hexdigest() == SCENARIO_FINGERPRINT
+
+
+def test_scenario_rings_match_their_definition(small_scenarios):
+    """Every amalgam is the set of pairs (a, f(a) + j) with the operations of
+    A x B, and every f(A) + J is a subring of B, read through decode and members."""
+    for sc in small_scenarios:
+        A, B, R, decode = sc.base, sc.target, sc.am.ring, sc.am.decode
+        assert decode[R.zero] == (A.zero, B.zero) and decode[R.one] == (A.one, B.one)
+        for x, (ax, bx) in enumerate(decode):
+            for y, (ay, by) in enumerate(decode):
+                assert decode[R.add[x][y]] == (A.add[ax][ay], B.add[bx][by])
+                assert decode[R.mul[x][y]] == (A.mul[ax][ay], B.mul[bx][by])
+        F, members = sc.faj.ring, sc.faj.members
+        assert members[F.zero] == B.zero and members[F.one] == B.one
+        for x, bx in enumerate(members):
+            for y, by in enumerate(members):
+                assert members[F.add[x][y]] == B.add[bx][by]
+                assert members[F.mul[x][y]] == B.mul[bx][by]
+
+
+def test_equal_keys_share_tables_until_clear_caches(z4):
+    """zmod(4) joined with (2) along the identity and along x -> (x, x mod 2)
+    into zmod(4) x zmod(2): f(A) acts on J alike, so the tables are one
+    object while labels, decode and structure stay each amalgam's own.  So
+    are the tables of f(A) + 0 for zmod(4) and zmod(8) mapped onto zmod(4)."""
+    clear_caches()
+    B = direct_product(z4, zmod(2))
+    f = RingHom(z4, B, tuple(2 * x + x % 2 for x in range(4)))
+    one = duplication(z4, generated_ideal(z4, [2]))
+    two = amalgamation(f, generated_ideal(B, [4]))
+    assert one.ring.mul is two.ring.mul and one.ring.add is two.ring.add and one.ring.neg is two.ring.neg
+    assert one.ring.digest() == two.ring.digest()
+    assert one.ring.labels[2:4] == ("(1,1)", "(1,3)") and two.ring.labels[2:4] == ("(1,(1,1))", "(1,(3,1))")
+    assert one.decode != two.decode
+    assert one.ring.structure == ("amalgam", one) and two.ring.structure == ("amalgam", two)
+    zero_ideal = generated_ideal(z4, [0])
+    faj1 = f_plus_j(identity_hom(z4), zero_ideal)
+    faj2 = f_plus_j(RingHom(zmod(8), z4, tuple(x % 4 for x in range(8))), zero_ideal)
+    assert faj1.ring.mul is faj2.ring.mul
+    assert faj1.ring.provenance == "faj(zmod(4)->zmod(4))" and faj2.ring.provenance == "faj(zmod(8)->zmod(4))"
+    clear_caches()
+    assert rings._MEMO == {}
+    again = duplication(z4, generated_ideal(z4, [2]))
+    assert again.ring.mul is not one.ring.mul and again.ring.mul == one.ring.mul
 
 
 def test_amalgam_requires_proper_ideal(z4):

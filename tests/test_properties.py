@@ -28,6 +28,7 @@ from amalgam.properties import (
     naive_annihilating_pairs,
     naive_poly_check,
     property_profile,
+    _cand_tables,
     _kind_sets,
     _scan_block_d1,
     _scan_block_d2,
@@ -286,6 +287,23 @@ def test_unrolled_scans_match_generic_scan(d, unrolled):
             sc, sv = _kind_sets(R, kind)
             want = _scan_block_generic(R, d, sc, sv, None)
             assert unrolled(R, sc, sv, None) == want, (R.provenance, kind)
+
+
+def test_search_tables_match_their_definition(small_rings):
+    """cand, mask and bad, which _cand_tables derives from one grouping of
+    each row by product value, held to their definitions."""
+    for R in small_rings:
+        rng = range(R.size)
+        for kind in POLY_KINDS:
+            sc, sv = _kind_sets(R, kind)
+            cand, mask, bad = _cand_tables(R, sc, sv)
+            for a in rng:
+                row = R.mul[a]
+                assert bad[a] == sum(1 << b for b in rng if row[b] not in sv)
+                for p in rng:
+                    want = tuple(b for b in rng if R.add[p][row[b]] in sc)
+                    assert cand[a][p] == want
+                    assert mask[a][p] == sum(1 << b for b in want)
 
 
 def test_holding_amalgam_holds_at_degree_two():
