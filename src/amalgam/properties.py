@@ -29,6 +29,7 @@ from .rings import (
     nilradical,
     ring_memo,
     split_by_central_idempotent,
+    units,
 )
 
 __all__ = [
@@ -180,10 +181,10 @@ class PropertyReport:
     pairs_examined counts the candidate coefficient choices the search walked
     through; the pruned walk discards provably harmless pairs wholesale, so
     this measures effort, not the number of annihilating pairs that exist.
-    It depends on the engine route (factor split, quotient shortcut) and is
-    excluded from reports that must be byte-identical across worker
-    configurations.  A report is a fact about a table: rings with equal
-    tables share one.
+    It counts the walk after the unit-orbit cut (_orbit_cut), depends on the
+    engine route (factor split, quotient shortcut), and is excluded from
+    reports that must be byte-identical across worker configurations.  A
+    report is a fact about a table: rings with equal tables share one.
     """
 
     kind: PropertyKind
@@ -274,6 +275,47 @@ def _cand_tables(R: FiniteRing, allowed: frozenset, target: frozenset) -> tuple[
     return cand, mask, bad
 
 
+def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int]:
+    """The least element of each orbit {x*u : u a unit} of R, ascending, and
+    the same set as a bitmask.
+
+    Right multiplication by the unit group partitions R, and walking R in
+    ascending order meets each orbit first at its least element.
+    """
+
+    def compute() -> tuple[tuple[int, ...], int]:
+        us = sorted(units(R))
+        reps = []
+        seen = 0
+        for x in range(R.size):
+            if not (seen >> x) & 1:
+                reps.append(x)
+                row = R.mul[x]
+                for u in us:
+                    seen |= 1 << row[u]
+        return tuple(reps), sum(1 << x for x in reps)
+
+    return ring_memo(R, "unit_orbits", compute)
+
+
+def _orbit_cut(R: FiniteRing, sc: frozenset, sv: frozenset, cand: list) -> list[tuple[int, tuple[int, ...]]]:
+    """Each a0 a scan walks, ascending, with the b0 it walks: cand[a0][0],
+    cut to orbit representatives when sc and sv are both {0}.
+
+    (f*u, u^-1*g) has the same product coefficients and cross products as
+    (f, g), so a lex-first witness has a0 least in its unit orbit.  When both
+    sets are {0}, (f, g*u) multiplies every product coefficient and cross
+    product on the right by a unit, which keeps zero and nonzero apart, so its
+    b0 is least in its orbit too.  Skipping the other values keeps the walk's
+    order and its first witness.
+    """
+    reps, rep_mask = _unit_orbit_reps(R)
+    zero = R.zero
+    if sc == sv == {zero}:
+        return [(a0, tuple(b for b in cand[a0][zero] if (rep_mask >> b) & 1)) for a0 in reps]
+    return [(a0, cand[a0][zero]) for a0 in reps]
+
+
 # --------------------------------------------------------------------------
 # pruned search
 
@@ -306,7 +348,8 @@ def _scan_block_generic(
     the walk only ever lands on leaves that refute the property.  Returns the
     first such leaf as (f, g, i, j, product) plus the count of candidate nodes
     visited.  Its bad masks come from their definition, not from
-    _cand_tables, so it checks the unrolled scans' masks independently.
+    _cand_tables, so it checks the unrolled scans' masks independently.  It
+    walks only the a0 and b0 that _orbit_cut keeps, as the unrolled scans do.
     """
     n = R.size
     cand = _cand_tables(R, sc, sv)[0]
@@ -316,12 +359,12 @@ def _scan_block_generic(
     f = [0] * (d + 1)
     g = [0] * (d + 1)
     pend = [zero] * (2 * d + 1)
-    state = {"nodes": 0, "fbad": 0}
+    state = {"nodes": 0, "fbad": 0, "level0": ()}
 
     def descend(k: int, flag: int) -> bool:
         fbad = state["fbad"]
         last = k == d
-        level = cand[f[0]][pend[k]]
+        level = cand[f[0]][pend[k]] if k else state["level0"]
         state["nodes"] += len(level)
         if node_budget is not None and state["nodes"] > node_budget:
             raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
@@ -353,8 +396,9 @@ def _scan_block_generic(
         return False
 
     rng = range(n)
-    for a0 in rng:
+    for a0, level0 in _orbit_cut(R, sc, sv, cand):
         fb0 = bad[a0]
+        state["level0"] = level0
         for rest in itertools.product(rng, repeat=d):
             fb = fb0
             for a in rest:
@@ -388,11 +432,10 @@ def _scan_block_d1(
     zero = R.zero
     nodes = 0
     rng = range(R.size)
-    for a0 in rng:
+    for a0, level0 in _orbit_cut(R, sc, sv, cand):
         fb0 = bad[a0]
         cand0 = cand[a0]
         mask0 = mask[a0]
-        level0 = cand0[zero]
         for a1 in rng:
             fbad = fb0 | bad[a1]
             if fbad == 0:
@@ -431,11 +474,10 @@ def _scan_block_d2(
     zero = R.zero
     nodes = 0
     rng = range(R.size)
-    for a0 in rng:
+    for a0, level0 in _orbit_cut(R, sc, sv, cand):
         fb0 = bad[a0]
         cand0 = cand[a0]
         mask0 = mask[a0]
-        level0 = cand0[zero]
         for a1 in rng:
             fb01 = fb0 | bad[a1]
             mul1 = mul[a1]
@@ -520,8 +562,9 @@ def annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterato
                 pend[k + 1 : k + d + 1] = saved
 
     for fc in itertools.product(range(n), repeat=width):
+        f = Polynomial(R, fc)
         for gc in emit(fc, 0):
-            yield Polynomial(R, fc), Polynomial(R, gc)
+            yield f, Polynomial(R, gc)
 
 
 def naive_annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterator[tuple[Polynomial, Polynomial]]:

@@ -33,6 +33,7 @@ from amalgam.properties import (
     _scan_block_d1,
     _scan_block_d2,
     _scan_block_generic,
+    _unit_orbit_reps,
 )
 from amalgam.rings import FiniteRing, nilradical
 
@@ -211,7 +212,8 @@ def test_budgeted_lift_falls_back_to_the_degree_d_report(monkeypatch, m2):
         except SearchBudgetError as exc:
             return repr(exc)
 
-    for budget in (5, 100, 900):
+    # m2's degree-1 scan walks 489 nodes; each budget stops it short
+    for budget in (5, 100, 450):
         assert outcome(lambda: get_report(m2, kind, 1, node_budget=budget)).startswith("SearchBudgetError")
         want = outcome(lambda: get_report(m2, kind, 2, node_budget=budget).holds)
         monkeypatch.setattr(properties, "_search_violation", recording_scan)
@@ -261,6 +263,31 @@ def test_equal_tables_share_one_report(z4):
         assert get_report(twin, kind, d) is get_report(z4, kind, d)
 
 
+def test_unit_orbit_reps_are_a_transversal(small_rings):
+    """Ascending, each least in its orbit {r*u : u a unit}, and every element
+    is r*u for exactly one representative r; units found by brute force."""
+    for R in small_rings:
+        rng = range(R.size)
+        us = [u for u in rng if any(R.mul[u][v] == R.one == R.mul[v][u] for v in rng)]
+        reps, rep_mask = _unit_orbit_reps(R)
+        assert list(reps) == sorted(set(reps)), R.provenance
+        assert rep_mask == sum(1 << r for r in reps), R.provenance
+        owners = {x: [] for x in rng}
+        for r in reps:
+            orbit = {R.mul[r][u] for u in us}
+            assert r == min(orbit), R.provenance
+            for x in orbit:
+                owners[x].append(r)
+        assert all(len(rs) == 1 for rs in owners.values()), R.provenance
+
+
+def test_orbit_cut_keeps_the_criterion_9_witness_and_walks_less():
+    """The unreduced walk of this check examined 130,800 nodes."""
+    report = check_armendariz(poly_quotient(zmod(2), 4), 2)
+    assert report.verdict is Verdict.HOLDS_UP_TO_BOUND and report.witness is None
+    assert report.pairs_examined < 130_800
+
+
 def _holding_amalgam() -> FiniteRing:
     """A 16-element amalgam of the max_amalgam_size=16 scenarios on which all
     three kinds hold at degree 2, so every scan of it walks to the end."""
@@ -287,6 +314,60 @@ def test_unrolled_scans_match_generic_scan(d, unrolled):
             sc, sv = _kind_sets(R, kind)
             want = _scan_block_generic(R, d, sc, sv, None)
             assert unrolled(R, sc, sv, None) == want, (R.provenance, kind)
+
+
+def _lex_first_witness(R: FiniteRing, d: int, sc: frozenset, sv: frozenset):
+    """The first pair of the full lex stream of annihilating_pairs with a
+    cross product outside sv, as a scan reports it, or None."""
+    for f, g in annihilating_pairs(R, d, sc):
+        for i, a in enumerate(f.coeffs):
+            row = R.mul[a]
+            for j, b in enumerate(g.coeffs):
+                if row[b] not in sv:
+                    return f.coeffs, g.coeffs, i, j, row[b]
+    return None
+
+
+def _orbit_test_rings(small_rings) -> list[FiniteRing]:
+    """small_rings plus the wide rings of test_unrolled_scans_match_generic_scan."""
+    rings = {R.digest(): R for R in small_rings}
+    for R in (poly_quotient(zmod(2), 4), direct_product(zmod(4), zmod(4)), _holding_amalgam()):
+        rings.setdefault(R.digest(), R)
+    return list(rings.values())
+
+
+def test_orbit_cut_scans_find_the_lex_first_witness_of_the_full_walk(small_rings):
+    """The scans skip a0 and b0 that are not least in their unit orbit; the
+    witness must still be the first of the unreduced lex stream, which shares
+    no orbit code.  The unrolled scans at degree 1 on every ring and at
+    degree 2 up to 8 elements, the generic scan at both degrees up to 8
+    elements.  Past 8 elements a holding ring streams up to millions of
+    pairs at degree 2, so test_orbit_cut_scans_match_the_uncut_walk covers
+    degree 2 up to 16 elements."""
+    for R in _orbit_test_rings(small_rings):
+        for kind in POLY_KINDS:
+            sc, sv = _kind_sets(R, kind)
+            for d in (1, 2) if R.size <= 8 else (1,):
+                want = _lex_first_witness(R, d, sc, sv)
+                unrolled = _scan_block_d1(R, sc, sv, None) if d == 1 else _scan_block_d2(R, sc, sv, None)
+                assert unrolled[0] == want, (R.provenance, kind, d)
+                if R.size <= 8:
+                    assert _scan_block_generic(R, d, sc, sv, None)[0] == want, (R.provenance, kind, d)
+
+
+def test_orbit_cut_scans_match_the_uncut_walk(monkeypatch, small_rings):
+    """At degree 2 up to 16 elements, _scan_block_d2 with the orbit cut finds
+    the witness of the same scan walking every a0 and b0, in no more nodes."""
+    rings = [R for R in _orbit_test_rings(small_rings) if R.size <= 16]
+    queries = [(R, kind, *_kind_sets(R, kind)) for R in rings for kind in POLY_KINDS]
+    cut = [_scan_block_d2(R, sc, sv, None) for R, kind, sc, sv in queries]
+    monkeypatch.setattr(properties, "_orbit_cut", lambda R, sc, sv, cand: [(a, cand[a][R.zero]) for a in range(R.size)])
+    shrunk = 0
+    for (R, kind, sc, sv), (wit, nodes) in zip(queries, cut):
+        want, full = _scan_block_d2(R, sc, sv, None)
+        assert wit == want and nodes <= full, (R.provenance, kind)
+        shrunk += nodes < full
+    assert shrunk > 0
 
 
 def test_search_tables_match_their_definition(small_rings):
