@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .errors import InternalInvariantError, SearchBudgetError
-from .properties import POLY_KINDS, PropertyKind, Verdict, get_report, holds
-from .rings import nilradical  # noqa: F401 -- benchmark/tracer.py wraps amalgam.cli.nilradical
+from .properties import POLY_KINDS, PropertyKind, PropertyReport, Verdict, get_report, holds
+from .rings import FiniteRing, nilradical  # noqa: F401 -- benchmark/tracer.py wraps amalgam.cli.nilradical
 from .specdsl import (
+    GOALS,
+    PROPS,
     CheckDirective,
     HarnessDirective,
     SearchDirective,
@@ -71,6 +73,17 @@ def _degree(stmt: Union[CheckDirective, HarnessDirective, SearchDirective], opts
     return opts.degree if opts.degree is not None else 2
 
 
+def _revalidate(report: PropertyReport, R: FiniteRing, opts: RunOptions, outcome: _Outcome, block: dict) -> str:
+    """With --revalidate, re-check the report's witness and record the result
+    in the block; the failure note to print, or ""."""
+    if not opts.revalidate:
+        return ""
+    problem = None if report.witness is None else report.witness.problem(R, report.kind)
+    block["revalidated"] = problem is None
+    outcome.internal_error |= problem is not None
+    return "" if problem is None else f"  REVALIDATION FAILED: {problem}"
+
+
 def _run_check(model: SpecModel, stmt: CheckDirective, opts: RunOptions, outcome: _Outcome, emit: Callable[[str], None]) -> None:
     R = model.resolve_ring(stmt.target)
     degree = _degree(stmt, opts)
@@ -92,12 +105,7 @@ def _run_check(model: SpecModel, stmt: CheckDirective, opts: RunOptions, outcome
     }
     if report.kind in POLY_KINDS:
         block["degree"] = degree
-    if opts.revalidate:
-        problem = None if report.witness is None else report.witness.problem(R, report.kind)
-        block["revalidated"] = problem is None
-        if problem is not None:
-            outcome.internal_error = True
-            line += f"  REVALIDATION FAILED: {problem}"
+    line += _revalidate(report, R, opts, outcome, block)
     if stmt.assertion is not None:
         expected_refuted = stmt.assertion == "refuted"
         actual_refuted = report.verdict is Verdict.REFUTED
@@ -199,12 +207,9 @@ def _run_search(stmt: SearchDirective, opts: RunOptions, outcome: _Outcome, emit
         block["ring_name"] = name
         block["size"] = ring.size
         block["witness"] = report.witness.to_json(ring)
-        if opts.revalidate:
-            problem = report.witness.problem(ring, report.kind)
-            block["revalidated"] = problem is None
-            if problem is not None:
-                outcome.internal_error = True
-                emit(f"  REVALIDATION FAILED: {problem}")
+        note = _revalidate(report, ring, opts, outcome, block)
+        if note:
+            emit(note)
     outcome.blocks.append(block)
 
 
@@ -278,7 +283,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_check = sub.add_parser("check", help="check one property of one ring")
     p_check.add_argument("ring", help="corpus ring name like 'zmod(4)' or a constructor like 'zmod 4'")
-    p_check.add_argument("prop", choices=["reduced", "semicommutative", "armendariz", "nil-armendariz", "weak-armendariz"])
+    p_check.add_argument("prop", choices=PROPS)
     p_check.add_argument("--assert", dest="assertion", choices=["holds", "refuted"], default=None)
     _add_common(p_check)
 
@@ -286,7 +291,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_common(p_harness)
 
     p_search = sub.add_parser("search", help="hunt for a ring separating two properties")
-    p_search.add_argument("goal", choices=["weak-not-nil", "armendariz-refutation"])
+    p_search.add_argument("goal", choices=GOALS)
     p_search.add_argument("--max-size", type=int, default=None, help="largest ring size to scan")
     _add_common(p_search)
 

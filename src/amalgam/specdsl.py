@@ -179,6 +179,21 @@ def _strip_outer(text: str, open_ch: str, close_ch: str) -> Optional[str]:
     return text[1:-1]
 
 
+def _parse_rows(text: str, entry: Callable[[str], int], shape: str) -> tuple[tuple[int, ...], ...]:
+    """The entries of a [[..],[..]] row list, each read by entry; shape names
+    the expected form in the error for text that is not one bracketed list."""
+    inner = _strip_outer(text, "[", "]")
+    if inner is None:
+        raise LiteralError(f"expected {shape}, got {text!r}")
+    rows = []
+    for row_text in _split_top(inner, ","):
+        row_inner = _strip_outer(row_text, "[", "]")
+        if row_inner is None:
+            raise LiteralError(f"expected a [..] row, got {row_text.strip()!r}")
+        rows.append(tuple(entry(e) for e in _split_top(row_inner, ",")))
+    return tuple(rows)
+
+
 _TERM_RE = re.compile(r"^(?:(?P<coeff>.+?)\s*)?\bt(?:\^(?P<power>\d+))?$")
 
 
@@ -223,16 +238,7 @@ def parse_element(R: FiniteRing, text: str) -> int:
 
     if tag in ("upper", "matrix"):
         _, R0, k = R.structure
-        inner = _strip_outer(text, "[", "]")
-        if inner is None:
-            raise LiteralError(f"expected a [[..],[..]] matrix, got {text!r}")
-        rows = _split_top(inner, ",")
-        row_entries: list[list[int]] = []
-        for row_text in rows:
-            row_inner = _strip_outer(row_text, "[", "]")
-            if row_inner is None:
-                raise LiteralError(f"expected a [..] row, got {row_text.strip()!r}")
-            row_entries.append([parse_element(R0, e) for e in _split_top(row_inner, ",")])
+        row_entries = _parse_rows(text, lambda e: parse_element(R0, e), "a [[..],[..]] matrix")
         if len(row_entries) != k or any(len(r) != k for r in row_entries):
             raise LiteralError(f"expected a {k}x{k} matrix, got {text!r}")
         if tag == "upper":
@@ -325,8 +331,26 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _COMMENT_RE = re.compile(r"#(?!\d)")
 
 
-def _diag(diags: list[Diagnostic], line_no: int, col: int, code: str, message: str) -> None:
-    diags.append(Diagnostic(line_no, col, code, message))
+class _Problem(Exception):
+    """What is wrong with the statement being parsed, as (col, code, message)
+    triples; parse_spec's line loop turns them into diagnostics."""
+
+    def __init__(self, *problems: tuple[int, str, str]):
+        super().__init__(problems)
+        self.problems = problems
+
+
+class _Line:
+    """A statement's text and its columns.  A LiteralError that escapes a
+    handler is a SYNTAX problem at arg_col, the column of the bracketed
+    argument the handler was reading."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.col0 = self.arg_col = len(text) - len(text.lstrip()) + 1
+
+    def col(self, part: str) -> int:
+        return self.text.find(part) + 1
 
 
 def _parse_int(token: str) -> Optional[int]:
@@ -336,400 +360,296 @@ def _parse_int(token: str) -> Optional[int]:
         return None
 
 
-def _brace_body(rest: str) -> Optional[str]:
-    rest = rest.strip()
-    body = _strip_outer(rest, "{", "}")
-    return body
+def _int_entry(text: str) -> int:
+    value = _parse_int(text.strip())
+    if value is None:
+        raise LiteralError(f"expected an integer, got {text.strip()!r}")
+    return value
 
 
-def _parse_options(
-    tokens: list[str], allowed: dict[str, bool], diags: list[Diagnostic], line_no: int, line: str
-) -> Optional[dict[str, object]]:
+def _match(pattern: str, ln: _Line, usage: str) -> tuple[str, ...]:
+    m = re.match(pattern, ln.text)
+    if not m:
+        raise _Problem((ln.col0, "SYNTAX", f"expected: {usage}"))
+    return m.groups()
+
+
+def _bind(model: SpecModel, ln: _Line, name: str) -> None:
+    """Admit the name a ring, ideal, hom or amalgam statement binds: an
+    identifier that is not bound yet."""
+    if not _NAME_RE.match(name):
+        raise _Problem((ln.col(name), "SYNTAX", f"bad name {name!r}"))
+    if any(name in table for table in (model.rings, model.ideals, model.homs, model.amalgams)):
+        raise _Problem((ln.col(name), "DUPLICATE_NAME", f"{name!r} is already bound"))
+
+
+def _resolve(model: SpecModel, ln: _Line, *names: str) -> list[FiniteRing]:
+    """The ring (or amalgam's ring) bound to each name; every unbound name is a problem."""
+    rings = [model.resolve_ring(name) for name in names]
+    unbound = [(ln.col(n), "UNRESOLVED_NAME", f"no ring or amalgam named {n!r}") for n, R in zip(names, rings) if R is None]
+    if unbound:
+        raise _Problem(*unbound)
+    return rings
+
+
+def _parse_options(tokens: list[str], allowed: dict[str, bool], ln: _Line) -> dict[str, object]:
     """Parse trailing `key value` option pairs; allowed maps key -> wants a
-    non-negative int.  The first bad pair is reported to diags and gives None."""
-    col0 = len(line) - len(line.lstrip()) + 1
+    non-negative int.  The first bad pair is the problem."""
     opts: dict[str, object] = {}
     for i in range(0, len(tokens), 2):
         key = tokens[i]
         if key not in allowed:
-            _diag(diags, line_no, col0, "SYNTAX", f"unexpected token {key!r}")
-            return None
+            raise _Problem((ln.col0, "SYNTAX", f"unexpected token {key!r}"))
         if i + 1 >= len(tokens):
-            _diag(diags, line_no, col0, "SYNTAX", f"option {key!r} needs a value")
-            return None
+            raise _Problem((ln.col0, "SYNTAX", f"option {key!r} needs a value"))
         value = tokens[i + 1]
         if not allowed[key]:
             opts[key] = value
             continue
         parsed = _parse_int(value)
         if parsed is None:
-            _diag(diags, line_no, col0, "SYNTAX", f"option {key!r} needs an integer, got {value!r}")
-            return None
+            raise _Problem((ln.col0, "SYNTAX", f"option {key!r} needs an integer, got {value!r}"))
         if parsed < 0:
-            col = line.find(value, line.find(key)) + 1
-            _diag(diags, line_no, col, "CONSTRAINT", f"option {key!r} must be non-negative, got {parsed}")
-            return None
+            col = ln.text.find(value, ln.text.find(key)) + 1
+            raise _Problem((col, "CONSTRAINT", f"option {key!r} must be non-negative, got {parsed}"))
         opts[key] = parsed
     return opts
 
 
+def _ring(model: SpecModel, ln: _Line) -> RingDecl:
+    name, rhs = _match(r"^\s*ring\s+(\S+)\s*=\s*(.+)$", ln, "ring NAME = CONSTRUCTOR args")
+    rhs = rhs.strip()
+    _bind(model, ln, name)
+    ln.arg_col = ln.col(rhs)
+    decl, model.rings[name] = _parse_ring_rhs(name, rhs, model.rings, ln.arg_col)
+    return decl
+
+
+def _ideal(model: SpecModel, ln: _Line) -> IdealDecl:
+    name, host_name, braces = _match(
+        r"^\s*ideal\s+(\S+)\s+of\s+(\S+)\s*=\s*generated\s*(\{.*\})\s*$", ln, "ideal NAME of RING = generated { elems }"
+    )
+    _bind(model, ln, name)
+    (host,) = _resolve(model, ln, host_name)
+    ln.arg_col = ln.col("{")
+    body = _strip_outer(braces, "{", "}")
+    if body is None:
+        raise _Problem((ln.arg_col, "SYNTAX", "expected { elem, ... }"))
+    gens, problems = [], []
+    for g in filter(None, (text.strip() for text in _split_top(body, ","))):
+        try:
+            gens.append(parse_element(host, g))
+        except LiteralError as exc:
+            problems.append((ln.col(g), "CONSTRAINT", str(exc)))
+    if problems:
+        raise _Problem(*problems)
+    model.ideals[name] = generated_ideal(host, gens)
+    return IdealDecl(name, host_name, tuple(format_element(host, g) for g in gens))
+
+
+def _hom(model: SpecModel, ln: _Line) -> HomDecl:
+    name, dom_name, cod_name, rhs = _match(
+        r"^\s*hom\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*=\s*(.+)$", ln, "hom NAME : A -> B = canonical | map { x -> y, ... }"
+    )
+    _bind(model, ln, name)
+    dom, cod = _resolve(model, ln, dom_name, cod_name)
+    rhs = rhs.strip()
+    if rhs == "canonical":
+        if dom is cod:
+            candidates = [RingHom(dom, cod, tuple(range(dom.size)))]
+        else:
+            try:
+                candidates = enumerate_homs(dom, cod)
+            except SearchBudgetError as exc:
+                raise _Problem((ln.col(rhs), "CONSTRAINT", str(exc)))
+        if len(candidates) != 1:
+            raise _Problem((
+                ln.col(rhs), "CONSTRAINT",
+                f"canonical needs exactly one homomorphism {dom_name} -> {cod_name}, found {len(candidates)}",
+            ))
+        model.homs[name] = candidates[0]
+        return HomDecl(name, dom_name, cod_name, "canonical")
+    if not rhs.startswith("map"):
+        raise _Problem((ln.col(rhs), "UNKNOWN_CONSTRUCTOR", f"expected canonical or map, got {rhs.split()[0]!r}"))
+    ln.arg_col = ln.col("map")
+    body = _strip_outer(rhs[3:], "{", "}")
+    if body is None:
+        raise _Problem((ln.arg_col, "SYNTAX", "expected map { x -> y, ... }"))
+    pairs = []
+    for pair_text in filter(None, (text.strip() for text in _split_top(body, ","))):
+        sides = pair_text.split("->")
+        if len(sides) != 2:
+            raise _Problem((ln.col(pair_text), "SYNTAX", f"expected x -> y, got {pair_text!r}"))
+        try:
+            pairs.append((parse_element(dom, sides[0]), parse_element(cod, sides[1])))
+        except LiteralError as exc:
+            raise _Problem((ln.col(pair_text), "CONSTRAINT", str(exc)))
+    amap = {dom.zero: cod.zero, dom.one: cod.one}
+    for x, y in pairs:
+        if amap.get(x, y) != y:
+            raise _Problem((ln.col0, "CONSTRAINT", f"conflicting images for element {format_element(dom, x)}"))
+        amap[x] = y
+    closed = _propagate(dom, cod, amap)
+    if closed is None:
+        raise _Problem((ln.col0, "CONSTRAINT", "the given images are inconsistent with + and *"))
+    missing = [x for x in range(dom.size) if x not in closed]
+    if missing:
+        raise _Problem((
+            ln.col0, "CONSTRAINT",
+            f"the map does not determine the image of {format_element(dom, missing[0])}; add a mapping for it",
+        ))
+    try:
+        model.homs[name] = RingHom(dom, cod, tuple(closed[x] for x in range(dom.size)))
+    except NotAHomError as exc:
+        v = exc.violation
+        raise _Problem((ln.col0, "CONSTRAINT", f"the completed map is not a homomorphism: breaks {v.law} at {v.witness}"))
+    return HomDecl(
+        name, dom_name, cod_name, "map", tuple((format_element(dom, x), format_element(cod, y)) for x, y in pairs)
+    )
+
+
+def _amalgam(model: SpecModel, ln: _Line) -> AmalgamDecl:
+    name, base_name, hom_name, ideal_name = _match(
+        r"^\s*amalgam\s+(\S+)\s*=\s*(\S+)\s+join\s+(\S+)\s+(\S+)\s*$", ln, "amalgam NAME = BASE join HOM IDEAL"
+    )
+    _bind(model, ln, name)
+    hom, ideal = model.homs.get(hom_name), model.ideals.get(ideal_name)
+    if hom is None:
+        raise _Problem((ln.col(hom_name), "UNRESOLVED_NAME", f"no homomorphism named {hom_name!r}"))
+    if ideal is None:
+        raise _Problem((ln.col(ideal_name), "UNRESOLVED_NAME", f"no ideal named {ideal_name!r}"))
+    (base,) = _resolve(model, ln, base_name)
+    if hom.domain is not base:
+        raise _Problem((ln.col(hom_name), "CONSTRAINT", f"{hom_name!r} does not start at {base_name!r}"))
+    if ideal.host is not hom.codomain:
+        raise _Problem((ln.col(ideal_name), "CONSTRAINT", f"{ideal_name!r} does not live in the codomain of {hom_name!r}"))
+    if not ideal.proper:
+        raise _Problem((ln.col(ideal_name), "CONSTRAINT", "amalgamation needs a proper ideal"))
+    model.amalgams[name] = amalgamation(hom, ideal)
+    return AmalgamDecl(name, base_name, hom_name, ideal_name)
+
+
+def _check(model: SpecModel, ln: _Line) -> CheckDirective:
+    rest = ln.text.split()[1:]
+    if len(rest) < 2:
+        raise _Problem((ln.col0, "ARITY", "expected: check TARGET PROPERTY [degree INT] [assert holds|refuted]"))
+    target, prop = rest[0], rest[1]
+    if prop not in PROPS:
+        raise _Problem((ln.col(prop), "UNKNOWN_CONSTRUCTOR", f"unknown property {prop!r}; expected one of {', '.join(PROPS)}"))
+    _resolve(model, ln, target)
+    opts = _parse_options(rest[2:], {"degree": True, "assert": False}, ln)
+    assertion = opts.get("assert")
+    if assertion not in (None, "holds", "refuted"):
+        raise _Problem((ln.col0, "SYNTAX", f"assert takes holds or refuted, got {assertion!r}"))
+    return CheckDirective(target, prop, opts.get("degree"), assertion)
+
+
+def _harness(model: SpecModel, ln: _Line) -> HarnessDirective:
+    return HarnessDirective(_parse_options(ln.text.split()[1:], {"degree": True}, ln).get("degree"))
+
+
+def _search(model: SpecModel, ln: _Line) -> SearchDirective:
+    rest = ln.text.split()[1:]
+    if not rest:
+        raise _Problem((ln.col0, "ARITY", "expected: search GOAL [degree INT] [max-size INT]"))
+    goal = rest[0]
+    if goal not in GOALS:
+        raise _Problem((ln.col(goal), "UNKNOWN_CONSTRUCTOR", f"unknown goal {goal!r}; expected one of {', '.join(GOALS)}"))
+    opts = _parse_options(rest[1:], {"degree": True, "max-size": True}, ln)
+    return SearchDirective(goal, opts.get("degree"), opts.get("max-size"))
+
+
+def _unknown(model: SpecModel, ln: _Line) -> Statement:
+    raise _Problem((ln.col0, "SYNTAX", f"unknown statement {ln.text.split()[0]!r}"))
+
+
+_HANDLERS: dict[str, Callable[[SpecModel, _Line], Statement]] = {
+    "ring": _ring,
+    "ideal": _ideal,
+    "hom": _hom,
+    "amalgam": _amalgam,
+    "check": _check,
+    "harness": _harness,
+    "search": _search,
+}
+
+
 def parse_spec(text: str) -> SpecModel:
     """Parse and elaborate a spec; diagnostics accumulate, parsing never aborts."""
+    model = SpecModel()
     statements: list[Statement] = []
     diags: list[Diagnostic] = []
-    rings: dict[str, FiniteRing] = {}
-    ideals: dict[str, Ideal] = {}
-    ideal_hosts: dict[str, str] = {}
-    homs: dict[str, RingHom] = {}
-    amalgams: dict[str, object] = {}
-
-    def defined(name: str) -> bool:
-        return name in rings or name in ideals or name in homs or name in amalgams
-
-    def lookup_ring(name: str, line_no: int, col: int) -> Optional[FiniteRing]:
-        if name in rings:
-            return rings[name]
-        if name in amalgams:
-            return amalgams[name].ring
-        _diag(diags, line_no, col, "UNRESOLVED_NAME", f"no ring or amalgam named {name!r}")
-        return None
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT_RE.split(raw, 1)[0].rstrip()
         if not line.strip():
             continue
-        col0 = len(line) - len(line.lstrip()) + 1
-        tokens = line.split()
-        head = tokens[0]
-
-        if head == "ring":
-            m = re.match(r"^\s*ring\s+(\S+)\s*=\s*(.+)$", line)
-            if not m:
-                _diag(diags, line_no, col0, "SYNTAX", "expected: ring NAME = CONSTRUCTOR args")
-                continue
-            name, rhs = m.group(1), m.group(2).strip()
-            if not _NAME_RE.match(name):
-                _diag(diags, line_no, line.find(name) + 1, "SYNTAX", f"bad name {name!r}")
-                continue
-            if defined(name):
-                _diag(diags, line_no, line.find(name) + 1, "DUPLICATE_NAME", f"{name!r} is already bound")
-                continue
-            decl, ring = _parse_ring_rhs(name, rhs, rings, diags, line_no, line.find(rhs) + 1)
-            if decl is not None:
-                statements.append(decl)
-            if ring is not None:
-                rings[name] = ring
-
-        elif head == "ideal":
-            m = re.match(r"^\s*ideal\s+(\S+)\s+of\s+(\S+)\s*=\s*generated\s*(\{.*\})\s*$", line)
-            if not m:
-                _diag(diags, line_no, col0, "SYNTAX", "expected: ideal NAME of RING = generated { elems }")
-                continue
-            name, host_name, braces = m.groups()
-            if defined(name):
-                _diag(diags, line_no, line.find(name) + 1, "DUPLICATE_NAME", f"{name!r} is already bound")
-                continue
-            host = lookup_ring(host_name, line_no, line.find(host_name) + 1)
-            if host is None:
-                continue
-            body = _brace_body(braces)
-            if body is None:
-                _diag(diags, line_no, line.find("{") + 1, "SYNTAX", "expected { elem, ... }")
-                continue
-            gen_texts = [g.strip() for g in _split_top(body, ",") if g.strip()] if body.strip() else []
-            gen_indices = []
-            bad = False
-            for g in gen_texts:
-                try:
-                    gen_indices.append(parse_element(host, g))
-                except LiteralError as exc:
-                    _diag(diags, line_no, line.find(g) + 1, "CONSTRAINT", str(exc))
-                    bad = True
-            if bad:
-                continue
-            ideal = generated_ideal(host, gen_indices)
-            ideals[name] = ideal
-            ideal_hosts[name] = host_name
-            statements.append(
-                IdealDecl(name, host_name, tuple(format_element(host, g) for g in gen_indices))
-            )
-
-        elif head == "hom":
-            m = re.match(r"^\s*hom\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*=\s*(.+)$", line)
-            if not m:
-                _diag(diags, line_no, col0, "SYNTAX", "expected: hom NAME : A -> B = canonical | map { x -> y, ... }")
-                continue
-            name, dom_name, cod_name, rhs = m.groups()
-            if defined(name):
-                _diag(diags, line_no, line.find(name) + 1, "DUPLICATE_NAME", f"{name!r} is already bound")
-                continue
-            dom = lookup_ring(dom_name, line_no, line.find(dom_name) + 1)
-            cod = lookup_ring(cod_name, line_no, line.find(cod_name) + 1)
-            if dom is None or cod is None:
-                continue
-            rhs = rhs.strip()
-            if rhs == "canonical":
-                if dom is cod:
-                    hom = RingHom(dom, cod, tuple(range(dom.size)))
-                else:
-                    try:
-                        candidates = enumerate_homs(dom, cod)
-                    except SearchBudgetError as exc:
-                        _diag(diags, line_no, line.find(rhs) + 1, "CONSTRAINT", str(exc))
-                        continue
-                    if len(candidates) != 1:
-                        _diag(
-                            diags, line_no, line.find(rhs) + 1, "CONSTRAINT",
-                            f"canonical needs exactly one homomorphism {dom_name} -> {cod_name}, found {len(candidates)}",
-                        )
-                        continue
-                    hom = candidates[0]
-                homs[name] = hom
-                statements.append(HomDecl(name, dom_name, cod_name, "canonical"))
-            elif rhs.startswith("map"):
-                body = _brace_body(rhs[3:])
-                if body is None:
-                    _diag(diags, line_no, line.find("map") + 1, "SYNTAX", "expected map { x -> y, ... }")
-                    continue
-                pairs = []
-                bad = False
-                for pair_text in _split_top(body, ","):
-                    pair_text = pair_text.strip()
-                    if not pair_text:
-                        continue
-                    sides = pair_text.split("->")
-                    if len(sides) != 2:
-                        _diag(diags, line_no, line.find(pair_text) + 1, "SYNTAX", f"expected x -> y, got {pair_text!r}")
-                        bad = True
-                        break
-                    try:
-                        x = parse_element(dom, sides[0])
-                        y = parse_element(cod, sides[1])
-                    except LiteralError as exc:
-                        _diag(diags, line_no, line.find(pair_text) + 1, "CONSTRAINT", str(exc))
-                        bad = True
-                        break
-                    pairs.append((x, y))
-                if bad:
-                    continue
-                amap = {dom.zero: cod.zero, dom.one: cod.one}
-                for x, y in pairs:
-                    if amap.get(x, y) != y:
-                        _diag(diags, line_no, col0, "CONSTRAINT", f"conflicting images for element {format_element(dom, x)}")
-                        bad = True
-                        break
-                    amap[x] = y
-                if bad:
-                    continue
-                closed = _propagate(dom, cod, amap)
-                if closed is None:
-                    _diag(diags, line_no, col0, "CONSTRAINT", "the given images are inconsistent with + and *")
-                    continue
-                missing = [x for x in range(dom.size) if x not in closed]
-                if missing:
-                    _diag(
-                        diags, line_no, col0, "CONSTRAINT",
-                        f"the map does not determine the image of {format_element(dom, missing[0])}; add a mapping for it",
-                    )
-                    continue
-                try:
-                    homs[name] = RingHom(dom, cod, tuple(closed[x] for x in range(dom.size)))
-                except NotAHomError as exc:
-                    v = exc.violation
-                    _diag(diags, line_no, col0, "CONSTRAINT", f"the completed map is not a homomorphism: breaks {v.law} at {v.witness}")
-                    continue
-                statements.append(
-                    HomDecl(
-                        name, dom_name, cod_name, "map",
-                        tuple((format_element(dom, x), format_element(cod, y)) for x, y in pairs),
-                    )
-                )
-            else:
-                _diag(diags, line_no, line.find(rhs) + 1, "UNKNOWN_CONSTRUCTOR", f"expected canonical or map, got {rhs.split()[0]!r}")
-
-        elif head == "amalgam":
-            m = re.match(r"^\s*amalgam\s+(\S+)\s*=\s*(\S+)\s+join\s+(\S+)\s+(\S+)\s*$", line)
-            if not m:
-                _diag(diags, line_no, col0, "SYNTAX", "expected: amalgam NAME = BASE join HOM IDEAL")
-                continue
-            name, base_name, hom_name, ideal_name = m.groups()
-            if defined(name):
-                _diag(diags, line_no, line.find(name) + 1, "DUPLICATE_NAME", f"{name!r} is already bound")
-                continue
-            if hom_name not in homs:
-                _diag(diags, line_no, line.find(hom_name) + 1, "UNRESOLVED_NAME", f"no homomorphism named {hom_name!r}")
-                continue
-            if ideal_name not in ideals:
-                _diag(diags, line_no, line.find(ideal_name) + 1, "UNRESOLVED_NAME", f"no ideal named {ideal_name!r}")
-                continue
-            hom = homs[hom_name]
-            ideal = ideals[ideal_name]
-            base = lookup_ring(base_name, line_no, line.find(base_name) + 1)
-            if base is None:
-                continue
-            if hom.domain is not base:
-                _diag(diags, line_no, line.find(hom_name) + 1, "CONSTRAINT", f"{hom_name!r} does not start at {base_name!r}")
-                continue
-            if ideal.host is not hom.codomain:
-                _diag(diags, line_no, line.find(ideal_name) + 1, "CONSTRAINT", f"{ideal_name!r} does not live in the codomain of {hom_name!r}")
-                continue
-            if not ideal.proper:
-                _diag(diags, line_no, line.find(ideal_name) + 1, "CONSTRAINT", "amalgamation needs a proper ideal")
-                continue
-            amalgams[name] = amalgamation(hom, ideal)
-            statements.append(AmalgamDecl(name, base_name, hom_name, ideal_name))
-
-        elif head == "check":
-            rest = tokens[1:]
-            if len(rest) < 2:
-                _diag(diags, line_no, col0, "ARITY", "expected: check TARGET PROPERTY [degree INT] [assert holds|refuted]")
-                continue
-            target, prop = rest[0], rest[1]
-            if prop not in PROPS:
-                _diag(diags, line_no, line.find(prop) + 1, "UNKNOWN_CONSTRUCTOR", f"unknown property {prop!r}; expected one of {', '.join(PROPS)}")
-                continue
-            if lookup_ring(target, line_no, line.find(target) + 1) is None:
-                continue
-            opts = _parse_options(rest[2:], {"degree": True, "assert": False}, diags, line_no, line)
-            if opts is None:
-                continue
-            assertion = opts.get("assert")
-            if assertion is not None and assertion not in ("holds", "refuted"):
-                _diag(diags, line_no, col0, "SYNTAX", f"assert takes holds or refuted, got {assertion!r}")
-                continue
-            statements.append(CheckDirective(target, prop, opts.get("degree"), assertion))
-
-        elif head == "harness":
-            opts = _parse_options(tokens[1:], {"degree": True}, diags, line_no, line)
-            if opts is None:
-                continue
-            statements.append(HarnessDirective(opts.get("degree")))
-
-        elif head == "search":
-            rest = tokens[1:]
-            if not rest:
-                _diag(diags, line_no, col0, "ARITY", "expected: search GOAL [degree INT] [max-size INT]")
-                continue
-            goal = rest[0]
-            if goal not in GOALS:
-                _diag(diags, line_no, line.find(goal) + 1, "UNKNOWN_CONSTRUCTOR", f"unknown goal {goal!r}; expected one of {', '.join(GOALS)}")
-                continue
-            opts = _parse_options(rest[1:], {"degree": True, "max-size": True}, diags, line_no, line)
-            if opts is None:
-                continue
-            statements.append(SearchDirective(goal, opts.get("degree"), opts.get("max-size")))
-
-        else:
-            _diag(diags, line_no, col0, "SYNTAX", f"unknown statement {head!r}")
-
-    return SpecModel(
-        statements=tuple(statements),
-        diagnostics=tuple(diags),
-        rings=rings,
-        ideals=ideals,
-        homs=homs,
-        amalgams=amalgams,
-    )
+        ln = _Line(line)
+        try:
+            statements.append(_HANDLERS.get(line.split()[0], _unknown)(model, ln))
+        except _Problem as exc:
+            diags.extend(Diagnostic(line_no, *problem) for problem in exc.problems)
+        except LiteralError as exc:
+            diags.append(Diagnostic(line_no, ln.arg_col, "SYNTAX", str(exc)))
+    model.statements, model.diagnostics = tuple(statements), tuple(diags)
+    return model
 
 
 def _parse_ring_rhs(
-    name: str,
-    rhs: str,
-    rings: dict[str, FiniteRing],
-    diags: list[Diagnostic],
-    line_no: int,
-    col: int,
-) -> tuple[Optional[RingDecl], Optional[FiniteRing]]:
+    name: str, rhs: str, rings: dict[str, FiniteRing], col: int
+) -> tuple[RingDecl, FiniteRing]:
     m0 = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(.*)$", rhs)
     if not m0:
-        _diag(diags, line_no, col, "SYNTAX", f"expected a constructor, got {rhs!r}")
-        return None, None
+        raise _Problem((col, "SYNTAX", f"expected a constructor, got {rhs!r}"))
     ctor, rest = m0.group(1), m0.group(2).strip()
 
     if ctor == "zmod":
         n = _parse_int(rest)
         if n is None:
-            _diag(diags, line_no, col, "ARITY", "zmod needs one integer argument")
-            return None, None
+            raise _Problem((col, "ARITY", "zmod needs one integer argument"))
         try:
             return RingDecl(name, "zmod", (n,)), zmod(n)
         except ValueError as exc:
-            _diag(diags, line_no, col, "CONSTRAINT", str(exc))
-            return None, None
+            raise _Problem((col, "CONSTRAINT", str(exc)))
 
     if ctor in ("product", "upper", "matrix", "polyquot"):
         inner = _strip_outer(rest, "(", ")")
         if inner is None:
-            _diag(diags, line_no, col, "SYNTAX", f"{ctor} needs parenthesized arguments")
-            return None, None
+            raise _Problem((col, "SYNTAX", f"{ctor} needs parenthesized arguments"))
         parts = [p.strip() for p in _split_top(inner, ",")]
         if len(parts) != 2:
-            _diag(diags, line_no, col, "ARITY", f"{ctor} needs exactly two arguments")
-            return None, None
+            raise _Problem((col, "ARITY", f"{ctor} needs exactly two arguments"))
         first = rings.get(parts[0])
         if first is None:
-            _diag(diags, line_no, col, "UNRESOLVED_NAME", f"no ring named {parts[0]!r}")
-            return None, None
+            raise _Problem((col, "UNRESOLVED_NAME", f"no ring named {parts[0]!r}"))
         if ctor == "product":
             second = rings.get(parts[1])
             if second is None:
-                _diag(diags, line_no, col, "UNRESOLVED_NAME", f"no ring named {parts[1]!r}")
-                return None, None
+                raise _Problem((col, "UNRESOLVED_NAME", f"no ring named {parts[1]!r}"))
             return RingDecl(name, "product", (parts[0], parts[1])), direct_product(first, second)
         k = _parse_int(parts[1])
         if k is None:
-            _diag(diags, line_no, col, "ARITY", f"{ctor} needs a ring name and an integer")
-            return None, None
+            raise _Problem((col, "ARITY", f"{ctor} needs a ring name and an integer"))
         try:
             builder = {"upper": upper_triangular, "matrix": matrix_ring, "polyquot": poly_quotient}[ctor]
             return RingDecl(name, ctor, (parts[0], k)), builder(first, k)
         except ValueError as exc:
-            _diag(diags, line_no, col, "CONSTRAINT", str(exc))
-            return None, None
+            raise _Problem((col, "CONSTRAINT", str(exc)))
 
     if ctor == "table":
-        body = _brace_body(rest)
+        body = _strip_outer(rest, "{", "}")
         if body is None:
-            _diag(diags, line_no, col, "SYNTAX", "table needs { add = [[..],..] mul = [[..],..] }")
-            return None, None
+            raise _Problem((col, "SYNTAX", "table needs { add = [[..],..] mul = [[..],..] }"))
         m = re.match(r"^\s*add\s*=\s*(\[.*\])\s*[,;]?\s*mul\s*=\s*(\[.*\])\s*$", body)
         if not m:
-            _diag(diags, line_no, col, "SYNTAX", "table body must be: add = [[..],..] mul = [[..],..]")
-            return None, None
-        try:
-            add = _parse_int_matrix(m.group(1))
-            mul = _parse_int_matrix(m.group(2))
-        except LiteralError as exc:
-            _diag(diags, line_no, col, "SYNTAX", str(exc))
-            return None, None
+            raise _Problem((col, "SYNTAX", "table body must be: add = [[..],..] mul = [[..],..]"))
+        add, mul = (_parse_rows(t, _int_entry, "[[..],[..]]") for t in m.groups())
         try:
             ring = FiniteRing.from_tables(add, mul, provenance=f"table({name})")
         except InvalidRingError as exc:
-            _diag(diags, line_no, col, "CONSTRAINT", f"tables break a ring axiom: {exc.violation.law.value} at {exc.violation.witness}")
-            return None, None
+            raise _Problem((col, "CONSTRAINT", f"tables break a ring axiom: {exc.violation.law.value} at {exc.violation.witness}"))
         return RingDecl(name, "table", (add, mul)), ring
 
-    _diag(diags, line_no, col, "UNKNOWN_CONSTRUCTOR", f"unknown ring constructor {ctor!r}")
-    return None, None
-
-
-def _parse_int_matrix(text: str) -> tuple[tuple[int, ...], ...]:
-    inner = _strip_outer(text, "[", "]")
-    if inner is None:
-        raise LiteralError(f"expected [[..],[..]], got {text!r}")
-    rows = []
-    for row_text in _split_top(inner, ","):
-        row_inner = _strip_outer(row_text, "[", "]")
-        if row_inner is None:
-            raise LiteralError(f"expected a [..] row, got {row_text.strip()!r}")
-        row = []
-        for entry in _split_top(row_inner, ","):
-            v = _parse_int(entry.strip())
-            if v is None:
-                raise LiteralError(f"expected an integer, got {entry.strip()!r}")
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
+    raise _Problem((col, "UNKNOWN_CONSTRUCTOR", f"unknown ring constructor {ctor!r}"))
 
 
 # --------------------------------------------------------------------------

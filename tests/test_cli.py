@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report streams, JSON determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,7 @@ import amalgam.cli as cli
 from amalgam.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_INTERNAL, EXIT_OK, RunOptions, execute_model, main
 from amalgam.constructions import upper_triangular, zmod
 from amalgam.errors import SearchBudgetError
-from amalgam.properties import PropertyKind, PolyWitness, check_armendariz
+from amalgam.properties import PropertyKind, PolyWitness, check_armendariz, get_report
 from amalgam.specdsl import parse_spec
 
 DUP_SPEC = """\
@@ -145,6 +146,22 @@ def test_check_subcommand_bad_constructor(capsys):
     assert "UNKNOWN_CONSTRUCTOR" in captured.err
 
 
+def test_unbalanced_bracket_in_a_spec_file_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "bracket.spec"
+    path.write_text("ring A = zmod 2\nring R = product((A, A)\n")
+    assert main(["run", str(path)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == f"{path}:line 2:10: SYNTAX: unbalanced brackets in '(A, A'\n"
+    assert captured.out == ""
+
+
+def test_check_subcommand_unbalanced_bracket(capsys):
+    assert main(["check", "product((zmod 2, zmod 2)", "armendariz"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == "line 1:10: SYNTAX: unbalanced brackets in '(zmod 2, zmod 2'\n"
+    assert captured.out == ""
+
+
 def test_check_revalidate_marks_block(tmp_path, capsys):
     j = tmp_path / "r.json"
     code = main(["check", "upper(zmod(2),2)", "armendariz", "--degree", "1", "--revalidate", "--json", str(j)])
@@ -171,6 +188,31 @@ def test_search_reports_the_lex_minimal_witness(tmp_path, capsys):
     ring = upper_triangular(zmod(2), 2)
     assert block["ring"] == ring.provenance
     assert block["witness"] == check_armendariz(ring, 2).witness.to_json(ring)
+
+
+@pytest.mark.parametrize(
+    "argv, failed_line",
+    [
+        (["check", "upper(zmod(2),2)", "armendariz", "--degree", "1"], "check R armendariz degree 1: REFUTED  ["),
+        (["search", "armendariz-refutation", "--degree", "1", "--max-size", "8"], "  REVALIDATION FAILED: forged"),
+    ],
+    ids=["check", "search"],
+)
+def test_failed_revalidation_is_exit_three(argv, failed_line, monkeypatch, tmp_path, capsys):
+    class Forged(PolyWitness):
+        def problem(self, R, kind):
+            return "forged"
+
+    def forged_report(R, kind, degree):
+        report = get_report(R, kind, degree)
+        return dataclasses.replace(report, witness=Forged(**dataclasses.asdict(report.witness)))
+
+    monkeypatch.setattr(cli, "get_report", forged_report)
+    path = tmp_path / "r.json"
+    assert main(argv + ["--revalidate", "--json", str(path)]) == EXIT_INTERNAL
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(failed_line) and line.endswith("REVALIDATION FAILED: forged") for line in lines)
+    assert json.loads(path.read_text())["reports"][0]["revalidated"] is False
 
 
 def test_search_reports_empty_hunt(capsys):

@@ -1,13 +1,16 @@
 """Declarative front end: total parsing, elaboration, literals, round-trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amalgam.constructions import direct_product, matrix_ring, poly_quotient, quotient_ring, upper_triangular, zmod
 from amalgam.morphisms import generated_ideal
 from amalgam.specdsl import (
     CheckDirective,
     HarnessDirective,
+    GOALS,
     LiteralError,
+    PROPS,
     SearchDirective,
     format_element,
     parse_element,
@@ -242,3 +245,264 @@ def test_negative_integer_options_are_positioned_constraints():
     assert [(d.line, d.col, d.code) for d in m.diagnostics] == [(2, 27, "CONSTRAINT"), (3, 16, "CONSTRAINT"), (4, 30, "CONSTRAINT")]
     assert "must be non-negative, got -1" in m.diagnostics[0].message
     assert [type(s).__name__ for s in m.statements] == ["RingDecl"]
+
+
+# Every diagnostic site of the parser, reached by one malformed line after a
+# clean prelude, with the exact (col, code, message) of each diagnostic.  The
+# lines bind nothing, so one parse of all of them gives each line's
+# diagnostics on its own line number.  The completed-map NotAHomError branch
+# of `hom ... = map` is absent: the closure checks every sum and product of
+# the finished map, so no map reaches RingHom broken.
+FROZEN_PRELUDE = """\
+ring A = zmod 4
+ring B = zmod 2
+ring P = product(B, B)
+ring U = upper(B, 2)
+ring Q = polyquot(B, 2)
+ring T = table { add = [[0,1],[1,0]] mul = [[0,0],[0,1]] }
+ring C = zmod 65
+ring D = zmod 3
+ideal J of A = generated { 2 }
+ideal K of B = generated { }
+ideal W of A = generated { 1 }
+hom f : A -> A = canonical
+hom g : A -> B = canonical
+amalgam AM = A join f J
+"""
+
+FROZEN_DIAGNOSTICS = [
+    ('ring R zmod 4', [(1, 'SYNTAX', 'expected: ring NAME = CONSTRUCTOR args')]),
+    ('ring 9R = zmod 4', [(6, 'SYNTAX', "bad name '9R'")]),
+    ('ring A = zmod 2', [(6, 'DUPLICATE_NAME', "'A' is already bound")]),
+    ('ring R = 9', [(10, 'SYNTAX', "expected a constructor, got '9'")]),
+    ('ring R = zmod', [(10, 'ARITY', 'zmod needs one integer argument')]),
+    ('ring R = zmod x', [(10, 'ARITY', 'zmod needs one integer argument')]),
+    ('ring R = zmod 1', [(10, 'CONSTRAINT', 'zmod needs n >= 2, got 1')]),
+    ('ring R = product A, B', [(10, 'SYNTAX', 'product needs parenthesized arguments')]),
+    ('ring R = product(A)', [(10, 'ARITY', 'product needs exactly two arguments')]),
+    ('ring R = product(X, A)', [(10, 'UNRESOLVED_NAME', "no ring named 'X'")]),
+    ('ring R = product(A, X)', [(10, 'UNRESOLVED_NAME', "no ring named 'X'")]),
+    ('ring R = product(A, AM)', [(10, 'UNRESOLVED_NAME', "no ring named 'AM'")]),
+    ('ring R = upper(A, x)', [(10, 'ARITY', 'upper needs a ring name and an integer')]),
+    ('ring R = matrix(A, 0)', [(10, 'CONSTRAINT', 'matrix dimension must be at least 1')]),
+    ('ring R = polyquot(A, 9)', [(10, 'CONSTRAINT', 'polynomial quotient would have 262144 elements, budget is 256')]),
+    ('ring R = table ( )', [(10, 'SYNTAX', 'table needs { add = [[..],..] mul = [[..],..] }')]),
+    ('ring R = table { add = 1 }', [(10, 'SYNTAX', 'table body must be: add = [[..],..] mul = [[..],..]')]),
+    ('ring R = table { add = [[0,x]] mul = [[0]] }', [(10, 'SYNTAX', "expected an integer, got 'x'")]),
+    ('ring R = table { add = [1],[2] mul = [[0]] }', [(10, 'SYNTAX', "expected [[..],[..]], got '[1],[2]'")]),
+    ('ring R = table { add = [[0,1],1] mul = [[0]] }', [(10, 'SYNTAX', "expected a [..] row, got '1'")]),
+    (
+        'ring R = table { add = [[0,1],[1,0]] mul = [[0,1],[1,1]] }',
+        [
+            (10, 'CONSTRAINT', 'tables break a ring axiom: MUL_IDENTITY at ()'),
+        ],
+    ),
+    ('ring R = frobnicate 3', [(10, 'UNKNOWN_CONSTRUCTOR', "unknown ring constructor 'frobnicate'")]),
+    ('ring 9R = frobnicate', [(6, 'SYNTAX', "bad name '9R'")]),
+    ('ring A = frobnicate', [(6, 'DUPLICATE_NAME', "'A' is already bound")]),
+    ('ideal I of A generated { 1 }', [(1, 'SYNTAX', 'expected: ideal NAME of RING = generated { elems }')]),
+    ('ideal J of A = generated { 1 }', [(7, 'DUPLICATE_NAME', "'J' is already bound")]),
+    ('ideal I of NOPE = generated { 1 }', [(12, 'UNRESOLVED_NAME', "no ring or amalgam named 'NOPE'")]),
+    ('ideal I of A = generated { 1 } { 2 }', [(26, 'SYNTAX', 'expected { elem, ... }')]),
+    (
+        'ideal I of U = generated { 5, [[1,1],[1,1]], [[0,1],[0,0]], [[1,1]], [1,1], #1x, #9 }',
+        [
+            (28, 'CONSTRAINT', "expected a [[..],[..]] matrix, got '5'"),
+            (31, 'CONSTRAINT', 'entry (1,0) must be zero in an upper-triangular ring'),
+            (61, 'CONSTRAINT', "expected a 2x2 matrix, got '[[1,1]]'"),
+            (32, 'CONSTRAINT', "expected a [..] row, got '1'"),
+            (77, 'CONSTRAINT', "bad raw index literal '#1x'"),
+            (82, 'CONSTRAINT', 'raw index 9 out of range for a ring of size 8'),
+        ],
+    ),
+    (
+        'ideal I of P = generated { 1, (1), (0,1) }',
+        [
+            (28, 'CONSTRAINT', "expected a (left,right) pair, got '1'"),
+            (31, 'CONSTRAINT', "expected two components in '(1)'"),
+        ],
+    ),
+    (
+        'ideal I of Q = generated { t^5, 1 + , t }',
+        [
+            (28, 'CONSTRAINT', 'power t^5 out of range; the ring truncates at t^2'),
+            (33, 'CONSTRAINT', "empty term in '1 +'"),
+        ],
+    ),
+    (
+        'ideal I of T = generated { x, 7, 1 }',
+        [
+            (28, 'CONSTRAINT', "expected an element index for this ring, got 'x'"),
+            (31, 'CONSTRAINT', 'index 7 out of range for a ring of size 2'),
+        ],
+    ),
+    (
+        'ideal I of AM = generated { (1,0), (0,2) }',
+        [
+            (29, 'CONSTRAINT', "pair '(1,0)' is not an element of the amalgam: second component minus the image is outside the ideal"),
+        ],
+    ),
+    ('ideal I of A = generated { y }', [(28, 'CONSTRAINT', "expected an integer modulo 4, got 'y'")]),
+    ('ideal I of NOPE = generated { 1 } { 2 }', [(12, 'UNRESOLVED_NAME', "no ring or amalgam named 'NOPE'")]),
+    ('hom h A -> A = canonical', [(1, 'SYNTAX', 'expected: hom NAME : A -> B = canonical | map { x -> y, ... }')]),
+    ('hom f : A -> A = canonical', [(5, 'DUPLICATE_NAME', "'f' is already bound")]),
+    (
+        'hom h : X -> Y = canonical',
+        [
+            (9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'"),
+            (14, 'UNRESOLVED_NAME', "no ring or amalgam named 'Y'"),
+        ],
+    ),
+    ('hom h : X -> A = canonical', [(9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'")]),
+    ('hom h : A -> Y = canonical', [(14, 'UNRESOLVED_NAME', "no ring or amalgam named 'Y'")]),
+    ('hom h : C -> A = canonical', [(18, 'CONSTRAINT', 'hom enumeration capped at size 64')]),
+    ('hom h : A -> D = canonical', [(18, 'CONSTRAINT', 'canonical needs exactly one homomorphism A -> D, found 0')]),
+    ('hom h : P -> B = canonical', [(18, 'CONSTRAINT', 'canonical needs exactly one homomorphism P -> B, found 2')]),
+    (
+        'hom h : X -> X = canonical',
+        [
+            (9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'"),
+            (9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'"),
+        ],
+    ),
+    ('hom h : X -> A = map 1', [(9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'")]),
+    ('hom h : A -> A = map 1 -> 1', [(18, 'SYNTAX', 'expected map { x -> y, ... }')]),
+    ('hom mapper : A -> A = map 1 -> 1', [(5, 'SYNTAX', 'expected map { x -> y, ... }')]),
+    ('hom h : A -> A = map { 1 }', [(24, 'SYNTAX', "expected x -> y, got '1'")]),
+    ('hom h : A -> A = map { x -> 1 }', [(24, 'CONSTRAINT', "expected an integer modulo 4, got 'x'")]),
+    ('hom h : A -> A = map { 1 -> x }', [(24, 'CONSTRAINT', "expected an integer modulo 4, got 'x'")]),
+    ('hom h : P -> P = map { (0,1) -> (1,1), (0,1) -> (0,1) }', [(1, 'CONSTRAINT', 'conflicting images for element (0,1)')]),
+    ('hom h : A -> A = map { 2 -> 1 }', [(1, 'CONSTRAINT', 'the given images are inconsistent with + and *')]),
+    ('hom h : P -> P = map { }', [(1, 'CONSTRAINT', 'the map does not determine the image of (0,1); add a mapping for it')]),
+    ('hom h : A -> A = bogus thing', [(18, 'UNKNOWN_CONSTRUCTOR', "expected canonical or map, got 'bogus'")]),
+    ('amalgam X = A join f', [(1, 'SYNTAX', 'expected: amalgam NAME = BASE join HOM IDEAL')]),
+    ('amalgam X = NOPE join nope J', [(23, 'UNRESOLVED_NAME', "no homomorphism named 'nope'")]),
+    ('amalgam AM = A join f J', [(9, 'DUPLICATE_NAME', "'AM' is already bound")]),
+    ('amalgam X = A join nope J', [(20, 'UNRESOLVED_NAME', "no homomorphism named 'nope'")]),
+    ('amalgam X = A join f nope', [(22, 'UNRESOLVED_NAME', "no ideal named 'nope'")]),
+    ('amalgam X = NOPE join f J', [(13, 'UNRESOLVED_NAME', "no ring or amalgam named 'NOPE'")]),
+    ('amalgam X = B join f J', [(20, 'CONSTRAINT', "'f' does not start at 'B'")]),
+    ('amalgam X = A join f K', [(22, 'CONSTRAINT', "'K' does not live in the codomain of 'f'")]),
+    ('amalgam X = A join f W', [(22, 'CONSTRAINT', 'amalgamation needs a proper ideal')]),
+    ('check A', [(1, 'ARITY', 'expected: check TARGET PROPERTY [degree INT] [assert holds|refuted]')]),
+    (
+        'check A primality',
+        [
+            (9, 'UNKNOWN_CONSTRUCTOR', "unknown property 'primality'; expected one of reduced, semicommutative, armendariz, nil-armendariz, weak-armendariz"),
+        ],
+    ),
+    ('check NOPE reduced', [(7, 'UNRESOLVED_NAME', "no ring or amalgam named 'NOPE'")]),
+    (
+        'check NOPE primality',
+        [
+            (12, 'UNKNOWN_CONSTRUCTOR', "unknown property 'primality'; expected one of reduced, semicommutative, armendariz, nil-armendariz, weak-armendariz"),
+        ],
+    ),
+    ('check A armendariz frobs 2', [(1, 'SYNTAX', "unexpected token 'frobs'")]),
+    ('check A armendariz degree', [(1, 'SYNTAX', "option 'degree' needs a value")]),
+    ('check A armendariz degree two', [(1, 'SYNTAX', "option 'degree' needs an integer, got 'two'")]),
+    ('check A armendariz degree -1', [(27, 'CONSTRAINT', "option 'degree' must be non-negative, got -1")]),
+    ('check A armendariz assert maybe', [(1, 'SYNTAX', "assert takes holds or refuted, got 'maybe'")]),
+    ('check A armendariz assert', [(1, 'SYNTAX', "option 'assert' needs a value")]),
+    ('harness degree x', [(1, 'SYNTAX', "option 'degree' needs an integer, got 'x'")]),
+    ('harness verbose', [(1, 'SYNTAX', "unexpected token 'verbose'")]),
+    ('harness degree', [(1, 'SYNTAX', "option 'degree' needs a value")]),
+    ('harness degree -2', [(16, 'CONSTRAINT', "option 'degree' must be non-negative, got -2")]),
+    ('search', [(1, 'ARITY', 'expected: search GOAL [degree INT] [max-size INT]')]),
+    ('search grail', [(8, 'UNKNOWN_CONSTRUCTOR', "unknown goal 'grail'; expected one of weak-not-nil, armendariz-refutation")]),
+    ('search weak-not-nil max-size -3', [(30, 'CONSTRAINT', "option 'max-size' must be non-negative, got -3")]),
+    ('search weak-not-nil size 3', [(1, 'SYNTAX', "unexpected token 'size'")]),
+    ('zork', [(1, 'SYNTAX', "unknown statement 'zork'")]),
+    ('   zork it', [(4, 'SYNTAX', "unknown statement 'zork'")]),
+]
+
+
+def test_frozen_diagnostics():
+    lines = [line for line, _ in FROZEN_DIAGNOSTICS]
+    m = parse_spec(FROZEN_PRELUDE + "\n".join(lines) + "\n")
+    first = FROZEN_PRELUDE.count("\n") + 1
+    expected = [
+        (first + i, col, code, message)
+        for i, (_, problems) in enumerate(FROZEN_DIAGNOSTICS)
+        for col, code, message in problems
+    ]
+    assert [(d.line, d.col, d.code, d.message) for d in m.diagnostics] == expected
+    assert len(m.statements) == FROZEN_PRELUDE.count("\n")
+
+
+@pytest.mark.parametrize(
+    "spec, col, inner",
+    [
+        ("ring R = product((A, A)\n", 10, "(A, A"),
+        ("ring R = zmod 4\nideal J of R = generated {((2}\n", 26, "((2"),
+        ("ring R = zmod 4\nhom f : R -> R = map {((1 -> 1}\n", 18, "((1 -> 1"),
+    ],
+    ids=["ring", "ideal", "hom"],
+)
+def test_unbalanced_inner_brackets_are_syntax_diagnostics(spec, col, inner):
+    m = parse_spec(spec)
+    assert [(d.line, d.col, d.code, d.message) for d in m.diagnostics] == [
+        (spec.count("\n"), col, "SYNTAX", f"unbalanced brackets in {inner!r}")
+    ]
+
+
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        ("ideal 9x of A = generated { 2 }", "9x"),
+        ("hom f-g : A -> A = canonical", "f-g"),
+        ("amalgam a,b = A join f J", "a,b"),
+        ("ring 9R = zmod 4", "9R"),
+    ],
+    ids=["ideal", "hom", "amalgam", "ring"],
+)
+def test_every_binding_name_is_an_identifier(line, name):
+    m = parse_spec("ring A = zmod 4\nideal J of A = generated { 2 }\nhom f : A -> A = canonical\n" + line + "\n")
+    assert [(d.line, d.col, d.code, d.message) for d in m.diagnostics] == [
+        (4, line.find(name) + 1, "SYNTAX", f"bad name {name!r}")
+    ]
+    assert len(m.statements) == 3
+
+
+# DSL fragments for the totality property: a line is a statement shape whose
+# slots are drawn from good and bad names, constructors, brace bodies,
+# literals and options, plus an optional stray bracket or comment.  Unbound
+# good names come first, so most lines get past the binder.
+_NAMES = ["R", "J", "f", "I", "A", "9x", "f-g", "a,b"]
+_RINGS = ["A", "R", "NOPE", "(A"]
+_CTORS = [
+    "zmod 2", "zmod x", "product(A, A)", "product((A, A)", "upper(A, 2)", "polyquot(A, 9)",
+    "table { add = [[0,1],[1,0]] mul = [[0,0],[0,1]] }", "table { add = [[0,1],[1,0] mul = [[0]] }", "frob 3",
+]
+_BODIES = ["{ }", "{ 1, 3 }", "{((2}", "{ [1 }", "{ (0,1) }", "{ #9 }", "{ 1 } { 2 }"]
+_HOMS = ["canonical", "map { 1 -> 1 }", "map {((1 -> 1}", "map { 1 -> 1, 2 }", "map 1", "bogus"]
+_WORDS = [*PROPS, *GOALS, "primality", "(("]
+_OPTIONS = ["", "degree 1", "degree -1", "degree", "degree x", "max-size 4", "assert holds", "assert maybe", "frob"]
+_SHAPES = [
+    ("ring", _NAMES, "=", _CTORS),
+    ("ideal", _NAMES, "of", _RINGS, "= generated", _BODIES),
+    ("hom", _NAMES, ":", _RINGS, "->", _RINGS, "=", _HOMS),
+    ("amalgam", _NAMES, "=", _RINGS, "join", _NAMES, _NAMES),
+    ("check", _RINGS, _WORDS, _OPTIONS),
+    ("harness", _OPTIONS),
+    ("search", _WORDS, _OPTIONS),
+    (_WORDS, _NAMES),
+]
+_TAILS = ["", " )", " ((", " ]", " # note", " #3"]
+
+
+@st.composite
+def _spec_lines(draw):
+    shape = draw(st.sampled_from(_SHAPES))
+    line = " ".join(draw(st.sampled_from(part)) if isinstance(part, list) else part for part in shape)
+    return line + draw(st.sampled_from(_TAILS))
+
+
+@settings(max_examples=300)
+@given(st.lists(_spec_lines(), min_size=1, max_size=12))
+def test_parse_spec_is_total(lines):
+    lines = ["ring A = zmod 2", *lines]
+    m = parse_spec("\n".join(lines) + "\n")
+    codes = {"SYNTAX", "UNKNOWN_CONSTRUCTOR", "UNRESOLVED_NAME", "ARITY", "CONSTRAINT", "DUPLICATE_NAME"}
+    for d in m.diagnostics:
+        assert 1 <= d.line <= len(lines) and d.col >= 1 and d.code in codes, d
