@@ -40,6 +40,7 @@ def zmod(n: int) -> FiniteRing:
     """The ring of integers modulo n, for n >= 2."""
     if n < 2:
         raise ValueError(f"zmod needs n >= 2, got {n}")
+    _check_budget(n, "zmod")
     add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
     return FiniteRing.from_tables(

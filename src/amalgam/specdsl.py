@@ -367,20 +367,32 @@ def _int_entry(text: str) -> int:
     return value
 
 
-def _match(pattern: str, ln: _Line, usage: str) -> tuple[str, ...]:
+def _match(pattern: str, ln: _Line, usage: str) -> re.Match:
     m = re.match(pattern, ln.text)
     if not m:
         raise _Problem((ln.col0, "SYNTAX", f"expected: {usage}"))
-    return m.groups()
+    return m
 
 
-def _bind(model: SpecModel, ln: _Line, name: str) -> None:
-    """Admit the name a ring, ideal, hom or amalgam statement binds: an
-    identifier that is not bound yet."""
+def _bind(model: SpecModel, m: re.Match) -> None:
+    """Admit the name a ring, ideal, hom or amalgam statement binds, the first
+    group of its pattern: an identifier that is not bound yet."""
+    name, col = m.group(1), m.start(1) + 1
     if not _NAME_RE.match(name):
-        raise _Problem((ln.col(name), "SYNTAX", f"bad name {name!r}"))
+        raise _Problem((col, "SYNTAX", f"bad name {name!r}"))
     if any(name in table for table in (model.rings, model.ideals, model.homs, model.amalgams)):
-        raise _Problem((ln.col(name), "DUPLICATE_NAME", f"{name!r} is already bound"))
+        raise _Problem((col, "DUPLICATE_NAME", f"{name!r} is already bound"))
+
+
+def _items(body: str, start: int) -> list[tuple[str, int]]:
+    """The non-empty comma-separated items of body, stripped, each with its
+    column in a line where body starts at index start."""
+    items = []
+    for text in _split_top(body, ","):
+        if text.strip():
+            items.append((text.strip(), start + len(text) - len(text.lstrip()) + 1))
+        start += len(text) + 1
+    return items
 
 
 def _resolve(model: SpecModel, ln: _Line, *names: str) -> list[FiniteRing]:
@@ -417,30 +429,31 @@ def _parse_options(tokens: list[str], allowed: dict[str, bool], ln: _Line) -> di
 
 
 def _ring(model: SpecModel, ln: _Line) -> RingDecl:
-    name, rhs = _match(r"^\s*ring\s+(\S+)\s*=\s*(.+)$", ln, "ring NAME = CONSTRUCTOR args")
-    rhs = rhs.strip()
-    _bind(model, ln, name)
-    ln.arg_col = ln.col(rhs)
+    m = _match(r"^\s*ring\s+(\S+)\s*=\s*(.+)$", ln, "ring NAME = CONSTRUCTOR args")
+    name, rhs = m.groups()
+    _bind(model, m)
+    ln.arg_col = m.start(2) + 1
     decl, model.rings[name] = _parse_ring_rhs(name, rhs, model.rings, ln.arg_col)
     return decl
 
 
 def _ideal(model: SpecModel, ln: _Line) -> IdealDecl:
-    name, host_name, braces = _match(
+    m = _match(
         r"^\s*ideal\s+(\S+)\s+of\s+(\S+)\s*=\s*generated\s*(\{.*\})\s*$", ln, "ideal NAME of RING = generated { elems }"
     )
-    _bind(model, ln, name)
+    name, host_name, braces = m.groups()
+    _bind(model, m)
     (host,) = _resolve(model, ln, host_name)
-    ln.arg_col = ln.col("{")
+    ln.arg_col = m.start(3) + 1
     body = _strip_outer(braces, "{", "}")
     if body is None:
         raise _Problem((ln.arg_col, "SYNTAX", "expected { elem, ... }"))
     gens, problems = [], []
-    for g in filter(None, (text.strip() for text in _split_top(body, ","))):
+    for g, col in _items(body, m.start(3) + 1):
         try:
             gens.append(parse_element(host, g))
         except LiteralError as exc:
-            problems.append((ln.col(g), "CONSTRAINT", str(exc)))
+            problems.append((col, "CONSTRAINT", str(exc)))
     if problems:
         raise _Problem(*problems)
     model.ideals[name] = generated_ideal(host, gens)
@@ -448,12 +461,13 @@ def _ideal(model: SpecModel, ln: _Line) -> IdealDecl:
 
 
 def _hom(model: SpecModel, ln: _Line) -> HomDecl:
-    name, dom_name, cod_name, rhs = _match(
+    m = _match(
         r"^\s*hom\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*=\s*(.+)$", ln, "hom NAME : A -> B = canonical | map { x -> y, ... }"
     )
-    _bind(model, ln, name)
+    name, dom_name, cod_name, rhs = m.groups()
+    _bind(model, m)
     dom, cod = _resolve(model, ln, dom_name, cod_name)
-    rhs = rhs.strip()
+    rhs_col = m.start(4) + 1
     if rhs == "canonical":
         if dom is cod:
             candidates = [RingHom(dom, cod, tuple(range(dom.size)))]
@@ -461,29 +475,29 @@ def _hom(model: SpecModel, ln: _Line) -> HomDecl:
             try:
                 candidates = enumerate_homs(dom, cod)
             except SearchBudgetError as exc:
-                raise _Problem((ln.col(rhs), "CONSTRAINT", str(exc)))
+                raise _Problem((rhs_col, "CONSTRAINT", str(exc)))
         if len(candidates) != 1:
             raise _Problem((
-                ln.col(rhs), "CONSTRAINT",
+                rhs_col, "CONSTRAINT",
                 f"canonical needs exactly one homomorphism {dom_name} -> {cod_name}, found {len(candidates)}",
             ))
         model.homs[name] = candidates[0]
         return HomDecl(name, dom_name, cod_name, "canonical")
     if not rhs.startswith("map"):
-        raise _Problem((ln.col(rhs), "UNKNOWN_CONSTRUCTOR", f"expected canonical or map, got {rhs.split()[0]!r}"))
-    ln.arg_col = ln.col("map")
+        raise _Problem((rhs_col, "UNKNOWN_CONSTRUCTOR", f"expected canonical or map, got {rhs.split()[0]!r}"))
+    ln.arg_col = rhs_col
     body = _strip_outer(rhs[3:], "{", "}")
     if body is None:
         raise _Problem((ln.arg_col, "SYNTAX", "expected map { x -> y, ... }"))
     pairs = []
-    for pair_text in filter(None, (text.strip() for text in _split_top(body, ","))):
+    for pair_text, col in _items(body, ln.text.index("{", m.start(4)) + 1):
         sides = pair_text.split("->")
         if len(sides) != 2:
-            raise _Problem((ln.col(pair_text), "SYNTAX", f"expected x -> y, got {pair_text!r}"))
+            raise _Problem((col, "SYNTAX", f"expected x -> y, got {pair_text!r}"))
         try:
             pairs.append((parse_element(dom, sides[0]), parse_element(cod, sides[1])))
         except LiteralError as exc:
-            raise _Problem((ln.col(pair_text), "CONSTRAINT", str(exc)))
+            raise _Problem((col, "CONSTRAINT", str(exc)))
     amap = {dom.zero: cod.zero, dom.one: cod.one}
     for x, y in pairs:
         if amap.get(x, y) != y:
@@ -509,10 +523,11 @@ def _hom(model: SpecModel, ln: _Line) -> HomDecl:
 
 
 def _amalgam(model: SpecModel, ln: _Line) -> AmalgamDecl:
-    name, base_name, hom_name, ideal_name = _match(
+    m = _match(
         r"^\s*amalgam\s+(\S+)\s*=\s*(\S+)\s+join\s+(\S+)\s+(\S+)\s*$", ln, "amalgam NAME = BASE join HOM IDEAL"
     )
-    _bind(model, ln, name)
+    name, base_name, hom_name, ideal_name = m.groups()
+    _bind(model, m)
     hom, ideal = model.homs.get(hom_name), model.ideals.get(ideal_name)
     if hom is None:
         raise _Problem((ln.col(hom_name), "UNRESOLVED_NAME", f"no homomorphism named {hom_name!r}"))
@@ -625,13 +640,15 @@ def _parse_ring_rhs(
             second = rings.get(parts[1])
             if second is None:
                 raise _Problem((col, "UNRESOLVED_NAME", f"no ring named {parts[1]!r}"))
-            return RingDecl(name, "product", (parts[0], parts[1])), direct_product(first, second)
-        k = _parse_int(parts[1])
-        if k is None:
-            raise _Problem((col, "ARITY", f"{ctor} needs a ring name and an integer"))
-        try:
+            args, build = (parts[0], parts[1]), lambda: direct_product(first, second)
+        else:
+            k = _parse_int(parts[1])
+            if k is None:
+                raise _Problem((col, "ARITY", f"{ctor} needs a ring name and an integer"))
             builder = {"upper": upper_triangular, "matrix": matrix_ring, "polyquot": poly_quotient}[ctor]
-            return RingDecl(name, ctor, (parts[0], k)), builder(first, k)
+            args, build = (parts[0], k), lambda: builder(first, k)
+        try:
+            return RingDecl(name, ctor, args), build()
         except ValueError as exc:
             raise _Problem((col, "CONSTRAINT", str(exc)))
 

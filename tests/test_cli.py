@@ -61,6 +61,15 @@ def test_run_rejects_parse_errors(tmp_path, capsys):
     assert str(path) in captured.err
 
 
+def test_run_over_budget_product_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "big.spec"
+    path.write_text("ring A = zmod 16\nring R = product(A, A)\nring S = product(R, A)\n")
+    assert main(["run", str(path)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == f"{path}:line 3:10: CONSTRAINT: direct product would have 4096 elements, budget is 256\n"
+    assert captured.out == ""
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/nonexistent/x.spec"]) == EXIT_FAILURE
     assert "cannot read" in capsys.readouterr().err

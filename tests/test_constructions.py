@@ -285,3 +285,4 @@ def test_constructor_indexing_is_frozen(corpus):
         h.update(repr((R.digest(), R.labels, R.provenance, _frozen(R.structure))).encode())
     assert len(rings) == 266
     assert h.hexdigest() == CONSTRUCTOR_FINGERPRINT
+    assert all(verify_axioms(R.add, R.mul) is None for R in rings)

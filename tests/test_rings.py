@@ -1,7 +1,10 @@
 """Table-level ring core: axiom scanning, element predicates, idempotent splitting."""
 
+from functools import reduce
+from operator import xor
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from amalgam.constructions import direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
 from amalgam.errors import InvalidRingError
@@ -21,6 +24,7 @@ from amalgam.rings import (
     units,
     verify_axioms,
 )
+from amalgam.rings import _scan_laws
 
 
 def test_zmod_shape(z4):
@@ -148,3 +152,115 @@ def test_nilradical_members_power_to_zero(n):
     for x in nilradical(R):
         held, k = is_nilpotent(R, x)
         assert held and power(R, x, k) == R.zero
+
+
+_SMALL_RINGS = [zmod(n) for n in range(2, 9)] + [
+    direct_product(zmod(2), zmod(2)),
+    direct_product(zmod(2), zmod(3)),
+    direct_product(zmod(2), zmod(4)),
+    direct_product(direct_product(zmod(2), zmod(2)), zmod(2)),
+    upper_triangular(zmod(2), 2),
+    poly_quotient(zmod(2), 2),
+    poly_quotient(zmod(2), 3),
+]
+
+
+def _relabel(table, p):
+    """table with each element i renamed p[i]."""
+    out = [[0] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[p[i]][p[j]] = p[v]
+    return out
+
+
+@st.composite
+def _perturbed_tables(draw):
+    """The tables of a ring of at most 8 elements after one or two edits:
+    an entry changed, two entries of a row swapped, one or both tables
+    relabeled, the opposite multiplication, or a symmetric change to add."""
+    R = draw(st.sampled_from(_SMALL_RINGS))
+    n = R.size
+    add, mul = [list(row) for row in R.add], [list(row) for row in R.mul]
+    elem = st.integers(min_value=0, max_value=n - 1)
+    for edit in draw(st.lists(st.sampled_from(["entry", "swap", "relabel", "opposite", "symmetric"]), min_size=1, max_size=2)):
+        table = draw(st.sampled_from([add, mul]))
+        i, j, k = draw(elem), draw(elem), draw(elem)
+        if edit == "entry":
+            table[i][j] = k
+        elif edit == "swap":
+            table[i][j], table[i][k] = table[i][k], table[i][j]
+        elif edit == "relabel":
+            p = draw(st.permutations(range(n)))
+            which = draw(st.sampled_from(["add", "mul", "both"]))
+            if which != "mul":
+                add = _relabel(add, p)
+            if which != "add":
+                mul = _relabel(mul, p)
+        elif edit == "opposite":
+            mul = [list(col) for col in zip(*mul)]
+        else:
+            add[i][j] = add[j][i] = k
+    return add, mul
+
+
+@settings(max_examples=400)
+@given(_perturbed_tables())
+def test_verify_axioms_equals_the_exhaustive_scan(tables):
+    add, mul = tables
+    assert verify_axioms(add, mul) == _scan_laws(add, mul)
+
+
+_Z3_ADD = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+_Z4_ADD = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+_XOR4_ADD = [[a ^ b for b in range(4)] for a in range(4)]
+_XOR8_ADD = [[a ^ b for b in range(8)] for a in range(8)]
+# Associative with identity 1 and left distributive over xor, not right distributive.
+_NEAR_RING = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 0, 3]]
+# 0 absorbs and 1 is the identity, so products of 0 and 1, the generators
+# of (Z4, +), associate; 2*(2*2) = 3 but (2*2)*2 = 2, and 2*(1+1) != 2*1 + 2*1.
+_ASSOC_ON_GENERATORS = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 3], [0, 3, 2, 0]]
+# The F2-bilinear product on bit vectors over the basis 1, x = 2, y = 4 with
+# identity 1, xy = 1 and x^2 = yx = y^2 = 0: distributive, but (xy)x != x(yx).
+_BASIS_PRODUCTS = {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 1): 2, (4, 1): 4, (2, 4): 1}
+_NONASSOCIATIVE = [
+    [reduce(xor, (_BASIS_PRODUCTS.get((i, j), 0) for i in (1, 2, 4) if u & i for j in (1, 2, 4) if v & j), 0) for v in range(8)]
+    for u in range(8)
+]
+# The ring Z2^3 with the products of {2, 3} x {2, 3} xor-ed with 2: every law
+# holds on the additive subgroup {0, 1}, so the check must reach 2 and 4.
+_FLIPPED_BLOCK = [
+    [v ^ 2 if a in (2, 3) and b in (2, 3) else v for b, v in enumerate(row)]
+    for a, row in enumerate(direct_product(direct_product(zmod(2), zmod(2)), zmod(2)).mul)
+]
+
+
+@pytest.mark.parametrize(
+    "law, add, mul",
+    [
+        (Law.ADD_COMM, [[0, 1], [0, 1]], [[0, 0], [0, 1]]),
+        # x+x = x and x+y is the third element: commutative, not associative,
+        # and the generators 0 and 1 generate no group.
+        (Law.ADD_ASSOC, [[0, 2, 1], [2, 1, 0], [1, 0, 2]], [[0, 0, 0], [0, 1, 2], [0, 2, 1]]),
+        (Law.ADD_IDENTITY, [[0, 0], [0, 0]], [[0, 0], [0, 1]]),
+        (Law.ADD_INVERSE, [[0, 1], [1, 1]], [[0, 0], [0, 1]]),
+        (Law.MUL_ASSOC, _Z3_ADD, [[(a - b) % 3 for b in range(3)] for a in range(3)]),
+        (Law.MUL_ASSOC, _Z4_ADD, _ASSOC_ON_GENERATORS),
+        (Law.MUL_ASSOC, _XOR8_ADD, _NONASSOCIATIVE),
+        (Law.MUL_IDENTITY, _Z3_ADD, [[0] * 3 for _ in range(3)]),
+        (Law.MUL_IDENTITY, _Z3_ADD, _Z3_ADD),
+        (Law.DISTRIB_L, _Z3_ADD, [[min(a, b) for b in range(3)] for a in range(3)]),
+        (Law.DISTRIB_L, _XOR4_ADD, [list(col) for col in zip(*_NEAR_RING)]),
+        (Law.DISTRIB_L, _XOR8_ADD, _FLIPPED_BLOCK),
+        (Law.DISTRIB_R, _XOR4_ADD, _NEAR_RING),
+    ],
+)
+def test_each_law_is_named_when_the_laws_before_it_hold(law, add, mul):
+    violation = verify_axioms(add, mul)
+    assert violation is not None and violation.law is law
+    assert violation == _scan_laws(add, mul)
+
+
+def test_assoc_on_generators_table_associates_on_generators():
+    mul = _ASSOC_ON_GENERATORS
+    assert all(mul[mul[a][b]][c] == mul[a][mul[b][c]] for a in (0, 1) for b in (0, 1) for c in (0, 1))

@@ -201,6 +201,23 @@ def test_canonical_hom_requires_uniqueness():
     assert unique.ok and unique.homs["f"].map == (0, 1, 2, 0, 1, 2)
 
 
+OVER_BUDGET_PRODUCT = "ring A = zmod 16\nring R = product(A, A)\nring S = product(R, A)\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (OVER_BUDGET_PRODUCT, "direct product would have 4096 elements, budget is 256"),
+        ("ring R = zmod 257\n", "zmod would have 257 elements, budget is 256"),
+    ],
+    ids=["product", "zmod"],
+)
+def test_over_budget_constructor_is_a_constraint_diagnostic(spec, message):
+    m = parse_spec(spec)
+    assert [(d.line, d.col, d.code, d.message) for d in m.diagnostics] == [(spec.count("\n"), 10, "CONSTRAINT", message)]
+    assert len(m.statements) == spec.count("\n") - 1
+
+
 def test_canonical_hom_budget_is_a_diagnostic():
     m = parse_spec("ring A = zmod 100\nring B = zmod 10\nhom f : A -> B = canonical\n")
     assert not m.ok
@@ -310,7 +327,7 @@ FROZEN_DIAGNOSTICS = [
             (28, 'CONSTRAINT', "expected a [[..],[..]] matrix, got '5'"),
             (31, 'CONSTRAINT', 'entry (1,0) must be zero in an upper-triangular ring'),
             (61, 'CONSTRAINT', "expected a 2x2 matrix, got '[[1,1]]'"),
-            (32, 'CONSTRAINT', "expected a [..] row, got '1'"),
+            (70, 'CONSTRAINT', "expected a [..] row, got '1'"),
             (77, 'CONSTRAINT', "bad raw index literal '#1x'"),
             (82, 'CONSTRAINT', 'raw index 9 out of range for a ring of size 8'),
         ],
@@ -367,7 +384,7 @@ FROZEN_DIAGNOSTICS = [
     ),
     ('hom h : X -> A = map 1', [(9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'")]),
     ('hom h : A -> A = map 1 -> 1', [(18, 'SYNTAX', 'expected map { x -> y, ... }')]),
-    ('hom mapper : A -> A = map 1 -> 1', [(5, 'SYNTAX', 'expected map { x -> y, ... }')]),
+    ('hom mapper : A -> A = map 1 -> 1', [(23, 'SYNTAX', 'expected map { x -> y, ... }')]),
     ('hom h : A -> A = map { 1 }', [(24, 'SYNTAX', "expected x -> y, got '1'")]),
     ('hom h : A -> A = map { x -> 1 }', [(24, 'CONSTRAINT', "expected an integer modulo 4, got 'x'")]),
     ('hom h : A -> A = map { 1 -> x }', [(24, 'CONSTRAINT', "expected an integer modulo 4, got 'x'")]),
@@ -462,6 +479,22 @@ def test_every_binding_name_is_an_identifier(line, name):
         (4, line.find(name) + 1, "SYNTAX", f"bad name {name!r}")
     ]
     assert len(m.statements) == 3
+
+
+@pytest.mark.parametrize(
+    "line, col, code",
+    [
+        ("ring g = zmod 2", 6, "DUPLICATE_NAME"),
+        ("ideal d of A = generated { 2 }", 7, "DUPLICATE_NAME"),
+        ("hom m : A -> A = canonical", 5, "DUPLICATE_NAME"),
+        ("amalgam a = A join f J", 9, "DUPLICATE_NAME"),
+        ("ring n = n", 10, "UNKNOWN_CONSTRUCTOR"),
+    ],
+    ids=["ring", "ideal", "hom", "amalgam", "constructor"],
+)
+def test_a_name_inside_the_keyword_is_reported_at_its_own_column(line, col, code):
+    m = parse_spec("ring A = zmod 4\nideal J of A = generated { 2 }\nhom f : A -> A = canonical\n" + line + "\n" + line + "\n")
+    assert [(d.col, d.code) for d in m.diagnostics if d.line == 5] == [(col, code)]
 
 
 # DSL fragments for the totality property: a line is a statement shape whose
