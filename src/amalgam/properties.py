@@ -181,10 +181,13 @@ class PropertyReport:
     pairs_examined counts the candidate coefficient choices the search walked
     through; the pruned walk discards provably harmless pairs wholesale, so
     this measures effort, not the number of annihilating pairs that exist.
-    It counts the walk after the unit-orbit cut (_orbit_cut), depends on the
-    engine route (factor split, quotient shortcut), and is excluded from
-    reports that must be byte-identical across worker configurations.  A
-    report is a fact about a table: rings with equal tables share one.
+    It counts the walk after the lex-leader cuts (_lex_leader_cut: f's first
+    nonzero coefficient a_k least in its unit orbit and at most f's last
+    coefficient, since unit multiples, reversal and division by x map
+    violating pairs to violating pairs), depends on the engine route (factor
+    split, quotient shortcut), and is excluded from reports that must be
+    byte-identical across worker configurations.  A report is a fact about
+    a table: rings with equal tables share one.
     """
 
     kind: PropertyKind
@@ -298,22 +301,44 @@ def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int]:
     return ring_memo(R, "unit_orbits", compute)
 
 
-def _orbit_cut(R: FiniteRing, sc: frozenset, sv: frozenset, cand: list) -> list[tuple[int, tuple[int, ...]]]:
-    """Each a0 a scan walks, ascending, with the b0 it walks: cand[a0][0],
-    cut to orbit representatives when sc and sv are both {0}.
+def _lex_leader_cut(
+    R: FiniteRing, sc: frozenset, sv: frozenset, cand: list
+) -> tuple[list[tuple[int, tuple[int, ...]]], tuple[int, ...], list]:
+    """What the scans walk, as (heads, leads, tails).
 
-    (f*u, u^-1*g) has the same product coefficients and cross products as
-    (f, g), so a lex-first witness has a0 least in its unit orbit.  When both
-    sets are {0}, (f, g*u) multiplies every product coefficient and cross
-    product on the right by a unit, which keeps zero and nonzero apart, so its
-    b0 is least in its orbit too.  Skipping the other values keeps the walk's
-    order and its first witness.
+    leads are the values f's first nonzero coefficient a_k takes: the least
+    element of each unit orbit, ascending (zero is an orbit of its own).
+    tails[x] are the values f's last coefficient a_d takes after a first
+    nonzero coefficient x with k < d: x, x+1, ..., n-1; tails[zero], for f
+    whose earlier coefficients are all zero, is leads.  heads pairs each a0
+    in leads with the b0 it walks, cand[a0][zero]; when sc and sv are both {0}
+    the b0 are cut to leads, and so is each later b_k short of the last
+    whose predecessors are all zero, which leaves the same level.
+
+    Three maps send a violating pair (f, g) to a violating pair: (f*u,
+    u^-1*g) for a unit u keeps every product coefficient and cross product;
+    reversing both coefficient tuples reverses the product coefficients and
+    keeps the set of cross products a_i*b_j; and f/x, when a0 = 0, shifts
+    the product coefficients down and adds only zero cross products, and 0
+    lies in both sets.  Reversal after k shifts sends (0^k, a_k, ..., a_d)
+    to (0^k, a_d, ..., a_k), so the lex-first violation has a_k <= a_d and
+    a_k least in its orbit.  When both sets are {0}, (f, g*u) multiplies
+    every product coefficient and cross product on the right by a unit,
+    which keeps zero and nonzero apart, so g's first nonzero coefficient is
+    least in its orbit too.  The cut walk keeps its lex order, so it finds
+    the first witness of the full walk.  g's last coefficient is not cut:
+    the unrolled scans already take its lowest valid bit.  Disabling every
+    cut means replacing this one function.
     """
     reps, rep_mask = _unit_orbit_reps(R)
-    zero = R.zero
+    n, zero = R.size, R.zero
+    tails: list = [range(x, n) for x in range(n)]
+    tails[zero] = reps
     if sc == sv == {zero}:
-        return [(a0, tuple(b for b in cand[a0][zero] if (rep_mask >> b) & 1)) for a0 in reps]
-    return [(a0, cand[a0][zero]) for a0 in reps]
+        heads = [(a0, tuple(b for b in cand[a0][zero] if (rep_mask >> b) & 1)) for a0 in reps]
+    else:
+        heads = [(a0, cand[a0][zero]) for a0 in reps]
+    return heads, reps, tails
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +374,8 @@ def _scan_block_generic(
     first such leaf as (f, g, i, j, product) plus the count of candidate nodes
     visited.  Its bad masks come from their definition, not from
     _cand_tables, so it checks the unrolled scans' masks independently.  It
-    walks only the a0 and b0 that _orbit_cut keeps, as the unrolled scans do.
+    walks only the f and g coefficients that _lex_leader_cut keeps, as the
+    unrolled scans do.
     """
     n = R.size
     cand = _cand_tables(R, sc, sv)[0]
@@ -360,11 +386,14 @@ def _scan_block_generic(
     g = [0] * (d + 1)
     pend = [zero] * (2 * d + 1)
     state = {"nodes": 0, "fbad": 0, "level0": ()}
+    heads, leads, tails = _lex_leader_cut(R, sc, sv, cand)
+    lead_set = set(leads)
 
-    def descend(k: int, flag: int) -> bool:
+    def descend(k: int, flag: int, g_zero: bool) -> bool:
         fbad = state["fbad"]
         last = k == d
-        level = cand[f[0]][pend[k]] if k else state["level0"]
+        # with b_0..b_{k-1} zero, pend[k] is zero and the cut level is level0
+        level = state["level0"] if not k or (g_zero and not last) else cand[f[0]][pend[k]]
         state["nodes"] += len(level)
         if node_budget is not None and state["nodes"] > node_budget:
             raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
@@ -387,7 +416,7 @@ def _scan_block_generic(
                     if d:
                         pend[k + 1 : k + d + 1] = saved
                     return True
-            elif descend(k + 1, nf):
+            elif descend(k + 1, nf, g_zero and b == zero):
                 if d:
                     pend[k + 1 : k + d + 1] = saved
                 return True
@@ -396,19 +425,22 @@ def _scan_block_generic(
         return False
 
     rng = range(n)
-    for a0, level0 in _orbit_cut(R, sc, sv, cand):
+    for a0, level0 in heads:
         fb0 = bad[a0]
         state["level0"] = level0
         for rest in itertools.product(rng, repeat=d):
+            fc = (a0, *rest)
+            lead = next((a for a in fc[:d] if a != zero), zero)
+            if lead not in lead_set or fc[d] not in tails[lead]:
+                continue
             fb = fb0
             for a in rest:
                 fb |= bad[a]
             if fb == 0:
                 continue
-            f[0] = a0
-            f[1:] = rest
+            f[:] = fc
             state["fbad"] = fb
-            if descend(0, 0):
+            if descend(0, 0, True):
                 return _first_bad_product(mul, sv, tuple(f), tuple(g)), state["nodes"]
     return None, state["nodes"]
 
@@ -428,15 +460,15 @@ def _scan_block_d1(
     still adds the whole candidate level, so the count is the generic one.
     """
     cand, mask, bad = _cand_tables(R, sc, sv)
+    heads, _, tails = _lex_leader_cut(R, sc, sv, cand)
     mul = R.mul
     zero = R.zero
     nodes = 0
-    rng = range(R.size)
-    for a0, level0 in _orbit_cut(R, sc, sv, cand):
+    for a0, level0 in heads:
         fb0 = bad[a0]
         cand0 = cand[a0]
         mask0 = mask[a0]
-        for a1 in rng:
+        for a1 in tails[a0]:
             fbad = fb0 | bad[a1]
             if fbad == 0:
                 continue
@@ -467,22 +499,24 @@ def _scan_block_d2(
 
     As in _scan_block_d1, g's last coefficient is the lowest set bit of
     mask[a0][a1*b1 + a2*b0] & mask[a1][a2*b1] & mask[a2][0], narrowed to
-    fbad unless b0 or b1 already makes the leaf bad.
+    fbad unless b0 or b1 already makes the leaf bad.  With b0 = 0, b1's
+    level cand[a0][0] is the level of b0, cut the same way.
     """
     cand, mask, bad = _cand_tables(R, sc, sv)
+    heads, leads, tails = _lex_leader_cut(R, sc, sv, cand)
     add, mul = R.add, R.mul
     zero = R.zero
     nodes = 0
     rng = range(R.size)
-    for a0, level0 in _orbit_cut(R, sc, sv, cand):
+    for a0, level0 in heads:
         fb0 = bad[a0]
         cand0 = cand[a0]
         mask0 = mask[a0]
-        for a1 in rng:
+        for a1 in rng if a0 != zero else leads:
             fb01 = fb0 | bad[a1]
             mul1 = mul[a1]
             mask1 = mask[a1]
-            for a2 in rng:
+            for a2 in tails[a0 if a0 != zero else a1]:
                 fbad = fb01 | bad[a2]
                 if fbad == 0:
                     continue
@@ -494,7 +528,7 @@ def _scan_block_d2(
                 for b0 in level0:
                     flag0 = (fbad >> b0) & 1
                     plus_p2 = add[mul2[b0]]
-                    level1 = cand0[mul1[b0]]
+                    level1 = cand0[mul1[b0]] if b0 != zero else level0
                     nodes += len(level1)
                     for b1 in level1:
                         q2 = plus_p2[mul1[b1]]

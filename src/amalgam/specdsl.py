@@ -349,8 +349,9 @@ class _Line:
         self.text = text
         self.col0 = self.arg_col = len(text) - len(text.lstrip()) + 1
 
-    def col(self, part: str) -> int:
-        return self.text.find(part) + 1
+    def words(self) -> list[tuple[str, int]]:
+        """The whitespace-separated words after the keyword, each with its column."""
+        return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", self.text)][1:]
 
 
 def _parse_int(token: str) -> Optional[int]:
@@ -395,26 +396,30 @@ def _items(body: str, start: int) -> list[tuple[str, int]]:
     return items
 
 
-def _resolve(model: SpecModel, ln: _Line, *names: str) -> list[FiniteRing]:
-    """The ring (or amalgam's ring) bound to each name; every unbound name is a problem."""
-    rings = [model.resolve_ring(name) for name in names]
-    unbound = [(ln.col(n), "UNRESOLVED_NAME", f"no ring or amalgam named {n!r}") for n, R in zip(names, rings) if R is None]
+def _resolve(model: SpecModel, *names: tuple[str, int]) -> list[FiniteRing]:
+    """The ring (or amalgam's ring) bound to each (name, column); every
+    unbound name is a problem at its column."""
+    rings = [model.resolve_ring(name) for name, _ in names]
+    unbound = [
+        (col, "UNRESOLVED_NAME", f"no ring or amalgam named {name!r}") for (name, col), R in zip(names, rings) if R is None
+    ]
     if unbound:
         raise _Problem(*unbound)
     return rings
 
 
-def _parse_options(tokens: list[str], allowed: dict[str, bool], ln: _Line) -> dict[str, object]:
-    """Parse trailing `key value` option pairs; allowed maps key -> wants a
-    non-negative int.  The first bad pair is the problem."""
+def _parse_options(words: list[tuple[str, int]], allowed: dict[str, bool], ln: _Line) -> dict[str, object]:
+    """Parse trailing `key value` option pairs, given as (word, column);
+    allowed maps key -> wants a non-negative int.  The first bad pair is the
+    problem."""
     opts: dict[str, object] = {}
-    for i in range(0, len(tokens), 2):
-        key = tokens[i]
+    for i in range(0, len(words), 2):
+        key = words[i][0]
         if key not in allowed:
             raise _Problem((ln.col0, "SYNTAX", f"unexpected token {key!r}"))
-        if i + 1 >= len(tokens):
+        if i + 1 >= len(words):
             raise _Problem((ln.col0, "SYNTAX", f"option {key!r} needs a value"))
-        value = tokens[i + 1]
+        value, col = words[i + 1]
         if not allowed[key]:
             opts[key] = value
             continue
@@ -422,7 +427,6 @@ def _parse_options(tokens: list[str], allowed: dict[str, bool], ln: _Line) -> di
         if parsed is None:
             raise _Problem((ln.col0, "SYNTAX", f"option {key!r} needs an integer, got {value!r}"))
         if parsed < 0:
-            col = ln.text.find(value, ln.text.find(key)) + 1
             raise _Problem((col, "CONSTRAINT", f"option {key!r} must be non-negative, got {parsed}"))
         opts[key] = parsed
     return opts
@@ -443,7 +447,7 @@ def _ideal(model: SpecModel, ln: _Line) -> IdealDecl:
     )
     name, host_name, braces = m.groups()
     _bind(model, m)
-    (host,) = _resolve(model, ln, host_name)
+    (host,) = _resolve(model, (host_name, m.start(2) + 1))
     ln.arg_col = m.start(3) + 1
     body = _strip_outer(braces, "{", "}")
     if body is None:
@@ -466,7 +470,7 @@ def _hom(model: SpecModel, ln: _Line) -> HomDecl:
     )
     name, dom_name, cod_name, rhs = m.groups()
     _bind(model, m)
-    dom, cod = _resolve(model, ln, dom_name, cod_name)
+    dom, cod = _resolve(model, (dom_name, m.start(2) + 1), (cod_name, m.start(3) + 1))
     rhs_col = m.start(4) + 1
     if rhs == "canonical":
         if dom is cod:
@@ -528,30 +532,31 @@ def _amalgam(model: SpecModel, ln: _Line) -> AmalgamDecl:
     )
     name, base_name, hom_name, ideal_name = m.groups()
     _bind(model, m)
+    hom_col, ideal_col = m.start(3) + 1, m.start(4) + 1
     hom, ideal = model.homs.get(hom_name), model.ideals.get(ideal_name)
     if hom is None:
-        raise _Problem((ln.col(hom_name), "UNRESOLVED_NAME", f"no homomorphism named {hom_name!r}"))
+        raise _Problem((hom_col, "UNRESOLVED_NAME", f"no homomorphism named {hom_name!r}"))
     if ideal is None:
-        raise _Problem((ln.col(ideal_name), "UNRESOLVED_NAME", f"no ideal named {ideal_name!r}"))
-    (base,) = _resolve(model, ln, base_name)
+        raise _Problem((ideal_col, "UNRESOLVED_NAME", f"no ideal named {ideal_name!r}"))
+    (base,) = _resolve(model, (base_name, m.start(2) + 1))
     if hom.domain is not base:
-        raise _Problem((ln.col(hom_name), "CONSTRAINT", f"{hom_name!r} does not start at {base_name!r}"))
+        raise _Problem((hom_col, "CONSTRAINT", f"{hom_name!r} does not start at {base_name!r}"))
     if ideal.host is not hom.codomain:
-        raise _Problem((ln.col(ideal_name), "CONSTRAINT", f"{ideal_name!r} does not live in the codomain of {hom_name!r}"))
+        raise _Problem((ideal_col, "CONSTRAINT", f"{ideal_name!r} does not live in the codomain of {hom_name!r}"))
     if not ideal.proper:
-        raise _Problem((ln.col(ideal_name), "CONSTRAINT", "amalgamation needs a proper ideal"))
+        raise _Problem((ideal_col, "CONSTRAINT", "amalgamation needs a proper ideal"))
     model.amalgams[name] = amalgamation(hom, ideal)
     return AmalgamDecl(name, base_name, hom_name, ideal_name)
 
 
 def _check(model: SpecModel, ln: _Line) -> CheckDirective:
-    rest = ln.text.split()[1:]
+    rest = ln.words()
     if len(rest) < 2:
         raise _Problem((ln.col0, "ARITY", "expected: check TARGET PROPERTY [degree INT] [assert holds|refuted]"))
-    target, prop = rest[0], rest[1]
+    (target, target_col), (prop, prop_col) = rest[:2]
     if prop not in PROPS:
-        raise _Problem((ln.col(prop), "UNKNOWN_CONSTRUCTOR", f"unknown property {prop!r}; expected one of {', '.join(PROPS)}"))
-    _resolve(model, ln, target)
+        raise _Problem((prop_col, "UNKNOWN_CONSTRUCTOR", f"unknown property {prop!r}; expected one of {', '.join(PROPS)}"))
+    _resolve(model, (target, target_col))
     opts = _parse_options(rest[2:], {"degree": True, "assert": False}, ln)
     assertion = opts.get("assert")
     if assertion not in (None, "holds", "refuted"):
@@ -560,16 +565,16 @@ def _check(model: SpecModel, ln: _Line) -> CheckDirective:
 
 
 def _harness(model: SpecModel, ln: _Line) -> HarnessDirective:
-    return HarnessDirective(_parse_options(ln.text.split()[1:], {"degree": True}, ln).get("degree"))
+    return HarnessDirective(_parse_options(ln.words(), {"degree": True}, ln).get("degree"))
 
 
 def _search(model: SpecModel, ln: _Line) -> SearchDirective:
-    rest = ln.text.split()[1:]
+    rest = ln.words()
     if not rest:
         raise _Problem((ln.col0, "ARITY", "expected: search GOAL [degree INT] [max-size INT]"))
-    goal = rest[0]
+    goal, goal_col = rest[0]
     if goal not in GOALS:
-        raise _Problem((ln.col(goal), "UNKNOWN_CONSTRUCTOR", f"unknown goal {goal!r}; expected one of {', '.join(GOALS)}"))
+        raise _Problem((goal_col, "UNKNOWN_CONSTRUCTOR", f"unknown goal {goal!r}; expected one of {', '.join(GOALS)}"))
     opts = _parse_options(rest[1:], {"degree": True, "max-size": True}, ln)
     return SearchDirective(goal, opts.get("degree"), opts.get("max-size"))
 

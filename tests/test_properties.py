@@ -1,7 +1,9 @@
 """Polynomial annihilation properties: the pruned engine against the brute
 oracle, frozen refutation witnesses, fast-path agreement, and the audit."""
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,7 +37,7 @@ from amalgam.properties import (
     _scan_block_generic,
     _unit_orbit_reps,
 )
-from amalgam.rings import FiniteRing, nilradical
+from amalgam.rings import FiniteRing, induced_ring, is_nilpotent, nilradical
 
 
 ORACLE_RINGS_SMALL = [zmod(2), zmod(3), zmod(4), zmod(5), zmod(6), poly_quotient(zmod(2), 2), direct_product(zmod(2), zmod(2))]
@@ -212,8 +214,8 @@ def test_budgeted_lift_falls_back_to_the_degree_d_report(monkeypatch, m2):
         except SearchBudgetError as exc:
             return repr(exc)
 
-    # m2's degree-1 scan walks 489 nodes; each budget stops it short
-    for budget in (5, 100, 450):
+    # m2's degree-1 scan walks 152 nodes; each budget stops it short
+    for budget in (5, 100, 140):
         assert outcome(lambda: get_report(m2, kind, 1, node_budget=budget)).startswith("SearchBudgetError")
         want = outcome(lambda: get_report(m2, kind, 2, node_budget=budget).holds)
         monkeypatch.setattr(properties, "_search_violation", recording_scan)
@@ -282,10 +284,11 @@ def test_unit_orbit_reps_are_a_transversal(small_rings):
 
 
 def test_orbit_cut_keeps_the_criterion_9_witness_and_walks_less():
-    """The unreduced walk of this check examined 130,800 nodes."""
+    """The unreduced walk of this check examined 130,800 nodes, and the walk
+    cut by unit orbits alone 74,155."""
     report = check_armendariz(poly_quotient(zmod(2), 4), 2)
     assert report.verdict is Verdict.HOLDS_UP_TO_BOUND and report.witness is None
-    assert report.pairs_examined < 130_800
+    assert report.pairs_examined < 74_155
 
 
 def _holding_amalgam() -> FiniteRing:
@@ -336,38 +339,157 @@ def _orbit_test_rings(small_rings) -> list[FiniteRing]:
     return list(rings.values())
 
 
+def _relabelings(R: FiniteRing) -> list[FiniteRing]:
+    """Two copies of R with its elements renamed, reversed and shuffled, so
+    that zero and one sit at other indices and the lex order changes."""
+    n = R.size
+    shuffler = random.Random(R.digest())
+    perms = [tuple(range(n - 1, -1, -1))]
+    while len(perms) < 2:
+        perm = list(range(n))
+        shuffler.shuffle(perm)
+        if perm[R.zero] != R.zero and perm[R.one] != R.one:
+            perms.append(tuple(perm))
+    return [
+        induced_ring(
+            R, sorted(range(n), key=perm.__getitem__), perm, R.one,
+            provenance=f"relabel({R.provenance})", structure=("relabel", R, perm),
+        )
+        for perm in perms
+    ]
+
+
 def test_orbit_cut_scans_find_the_lex_first_witness_of_the_full_walk(small_rings):
-    """The scans skip a0 and b0 that are not least in their unit orbit; the
+    """The scans skip every f and g that _lex_leader_cut rules out; the
     witness must still be the first of the unreduced lex stream, which shares
-    no orbit code.  The unrolled scans at degree 1 on every ring and at
-    degree 2 up to 8 elements, the generic scan at both degrees up to 8
-    elements.  Past 8 elements a holding ring streams up to millions of
-    pairs at degree 2, so test_orbit_cut_scans_match_the_uncut_walk covers
-    degree 2 up to 16 elements."""
+    no cut code.  The unrolled scans at degree 1 on every ring and at degree
+    2 up to 8 elements; the generic scan at degrees 1 and 2 up to 8
+    elements, and at degree 3 up to 4 elements and on the rings up to 8
+    elements that refute at degree 2 (padding keeps them refuted, so their
+    streams stop early).  Each refuting query up to 8 elements at degrees 1
+    and 2 runs again on two relabelings of its ring (a relabeled holding
+    ring holds, and a cut scan finds nothing there either).  Past 8
+    elements a holding ring streams up to millions of pairs at degree 2, so
+    test_orbit_cut_scans_match_the_uncut_walk covers degree 2 up to 16
+    elements."""
     for R in _orbit_test_rings(small_rings):
+        copies = _relabelings(R) if R.size <= 8 else []
         for kind in POLY_KINDS:
-            sc, sv = _kind_sets(R, kind)
-            for d in (1, 2) if R.size <= 8 else (1,):
-                want = _lex_first_witness(R, d, sc, sv)
-                unrolled = _scan_block_d1(R, sc, sv, None) if d == 1 else _scan_block_d2(R, sc, sv, None)
-                assert unrolled[0] == want, (R.provenance, kind, d)
-                if R.size <= 8:
-                    assert _scan_block_generic(R, d, sc, sv, None)[0] == want, (R.provenance, kind, d)
+            refuted = False
+            for d in (1, 2, 3) if R.size <= 8 else (1,):
+                if d == 3 and R.size > 4 and not refuted:
+                    break
+                for S in [R, *copies] if d < 3 else [R]:
+                    sc, sv = _kind_sets(S, kind)
+                    want = _lex_first_witness(S, d, sc, sv)
+                    if d < 3:
+                        unrolled = _scan_block_d1(S, sc, sv, None) if d == 1 else _scan_block_d2(S, sc, sv, None)
+                        assert unrolled[0] == want, (S.provenance, kind, d)
+                    if S.size <= 8:
+                        assert _scan_block_generic(S, d, sc, sv, None)[0] == want, (S.provenance, kind, d)
+                    refuted = want is not None
+                    if not refuted:
+                        break
+
+
+def _uncut(R: FiniteRing, sc: frozenset, sv: frozenset, cand: list):
+    """_lex_leader_cut with every cut disabled: every a0 with every b0, every
+    value for a lead coefficient and for f's last coefficient."""
+    n = R.size
+    return [(a, cand[a][R.zero]) for a in range(n)], tuple(range(n)), [range(n)] * n
 
 
 def test_orbit_cut_scans_match_the_uncut_walk(monkeypatch, small_rings):
-    """At degree 2 up to 16 elements, _scan_block_d2 with the orbit cut finds
-    the witness of the same scan walking every a0 and b0, in no more nodes."""
+    """At degrees 1 and 2 up to 16 elements, and through the generic scan
+    at degree 3 up to 4 elements, the cut scans find the witness of the same
+    scans walking every f and g, in no more nodes, and in fewer on some
+    rings at each degree."""
     rings = [R for R in _orbit_test_rings(small_rings) if R.size <= 16]
-    queries = [(R, kind, *_kind_sets(R, kind)) for R in rings for kind in POLY_KINDS]
-    cut = [_scan_block_d2(R, sc, sv, None) for R, kind, sc, sv in queries]
-    monkeypatch.setattr(properties, "_orbit_cut", lambda R, sc, sv, cand: [(a, cand[a][R.zero]) for a in range(R.size)])
-    shrunk = 0
-    for (R, kind, sc, sv), (wit, nodes) in zip(queries, cut):
-        want, full = _scan_block_d2(R, sc, sv, None)
-        assert wit == want and nodes <= full, (R.provenance, kind)
-        shrunk += nodes < full
-    assert shrunk > 0
+    scans = [
+        (1, _scan_block_d1),
+        (2, _scan_block_d2),
+        (3, lambda R, sc, sv, budget: _scan_block_generic(R, 3, sc, sv, budget)),
+    ]
+    queries = [
+        (d, scan, R, kind, *_kind_sets(R, kind))
+        for d, scan in scans
+        for R in rings
+        if d < 3 or R.size <= 4
+        for kind in POLY_KINDS
+    ]
+    cut = [scan(R, sc, sv, None) for d, scan, R, kind, sc, sv in queries]
+    monkeypatch.setattr(properties, "_lex_leader_cut", _uncut)
+    shrunk = {1: 0, 2: 0, 3: 0}
+    for (d, scan, R, kind, sc, sv), (wit, nodes) in zip(queries, cut):
+        want, full = scan(R, sc, sv, None)
+        assert wit == want and nodes <= full, (R.provenance, kind, d)
+        shrunk[d] += nodes < full
+    assert all(shrunk.values()), shrunk
+
+
+def _kind_tests(R: FiniteRing, kind: PropertyKind):
+    """Membership in kind's constraint and target sets, from is_nilpotent."""
+
+    def nilpotent(x: int) -> bool:
+        return is_nilpotent(R, x)[0]
+
+    def is_zero(x: int) -> bool:
+        return x == R.zero
+
+    return (nilpotent if kind is PropertyKind.NIL_ARMENDARIZ else is_zero), (
+        is_zero if kind is PropertyKind.ARMENDARIZ else nilpotent
+    )
+
+
+def _annihilates(R: FiniteRing, kind: PropertyKind, fc: tuple, gc: tuple) -> bool:
+    in_constraint = _kind_tests(R, kind)[0]
+    return all(map(in_constraint, poly_mul(Polynomial(R, fc), Polynomial(R, gc)).coeffs))
+
+
+def _violates(R: FiniteRing, kind: PropertyKind, fc: tuple, gc: tuple) -> bool:
+    """(f, g) refutes kind, from poly_mul and is_nilpotent alone."""
+    in_target = _kind_tests(R, kind)[1]
+    return _annihilates(R, kind, fc, gc) and not all(in_target(R.mul[a][b]) for a in fc for b in gc)
+
+
+T2, M2 = upper_triangular(zmod(2), 2), matrix_ring(zmod(2), 2)
+SYMMETRY_RINGS = [zmod(4), poly_quotient(zmod(2), 2), T2, M2]
+# the rings and kinds with violating pairs at degree bound 1
+VIOLATED = [(T2, PropertyKind.ARMENDARIZ), *((M2, kind) for kind in sorted(POLY_KINDS, key=lambda k: k.value))]
+
+
+@functools.cache
+def _violating_pairs(R: FiniteRing, kind: PropertyKind) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every violating pair of degree bound 1 in R, by brute force."""
+    tuples = list(itertools.product(range(R.size), repeat=2))
+    return [(fc, gc) for fc in tuples for gc in tuples if _violates(R, kind, fc, gc)]
+
+
+@given(st.data())
+def test_violation_is_invariant_under_the_scan_symmetries(data):
+    """The maps behind _lex_leader_cut, checked with no scan code: reversing
+    both coefficient tuples, f -> f/x when a0 = 0, and (f*u, u^-1*g) for a
+    unit u keep a pair violating or not; for armendariz so does (f, g*u).
+    Half the pairs are drawn from the violating pairs of degree bound 1,
+    the rest are random pairs of degree bound 1 to 3."""
+    if data.draw(st.booleans(), label="violating"):
+        R, kind = data.draw(st.sampled_from(VIOLATED), label="ring and kind")
+        fc, gc = data.draw(st.sampled_from(_violating_pairs(R, kind)), label="pair")
+    else:
+        R = data.draw(st.sampled_from(SYMMETRY_RINGS), label="ring")
+        kind = data.draw(st.sampled_from(sorted(POLY_KINDS, key=lambda k: k.value)), label="kind")
+        d = data.draw(st.integers(1, 3), label="d")
+        coeffs = st.lists(st.integers(0, R.size - 1), min_size=d + 1, max_size=d + 1)
+        fc, gc = tuple(data.draw(coeffs, label="f")), tuple(data.draw(coeffs, label="g"))
+    rng = range(R.size)
+    u, u_inv = data.draw(st.sampled_from([(u, v) for u in rng for v in rng if R.mul[u][v] == R.one == R.mul[v][u]]))
+    violates = _violates(R, kind, fc, gc)
+    assert _violates(R, kind, fc[::-1], gc[::-1]) == violates
+    if fc[0] == R.zero:
+        assert _violates(R, kind, fc[1:] + (R.zero,), gc) == violates
+    assert _violates(R, kind, tuple(R.mul[a][u] for a in fc), tuple(R.mul[u_inv][b] for b in gc)) == violates
+    if kind is PropertyKind.ARMENDARIZ:
+        assert _violates(R, kind, fc, tuple(R.mul[b][u] for b in gc)) == violates
 
 
 def test_search_tables_match_their_definition(small_rings):

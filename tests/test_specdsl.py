@@ -379,7 +379,7 @@ FROZEN_DIAGNOSTICS = [
         'hom h : X -> X = canonical',
         [
             (9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'"),
-            (9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'"),
+            (14, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'"),
         ],
     ),
     ('hom h : X -> A = map 1', [(9, 'UNRESOLVED_NAME', "no ring or amalgam named 'X'")]),
@@ -489,8 +489,11 @@ def test_every_binding_name_is_an_identifier(line, name):
         ("hom m : A -> A = canonical", 5, "DUPLICATE_NAME"),
         ("amalgam a = A join f J", 9, "DUPLICATE_NAME"),
         ("ring n = n", 10, "UNKNOWN_CONSTRUCTOR"),
+        ("check c reduced", 7, "UNRESOLVED_NAME"),
+        ("amalgam m = A join a J", 20, "UNRESOLVED_NAME"),
+        ("search sea", 8, "UNKNOWN_CONSTRUCTOR"),
     ],
-    ids=["ring", "ideal", "hom", "amalgam", "constructor"],
+    ids=["ring", "ideal", "hom", "amalgam", "constructor", "check-target", "amalgam-hom", "search-goal"],
 )
 def test_a_name_inside_the_keyword_is_reported_at_its_own_column(line, col, code):
     m = parse_spec("ring A = zmod 4\nideal J of A = generated { 2 }\nhom f : A -> A = canonical\n" + line + "\n" + line + "\n")
