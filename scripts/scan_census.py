@@ -15,8 +15,11 @@ another checkout.  A cut in the scans that keeps every lex-minimal witness
 shows as a compare with no witness mismatch and a smaller node total.
 
 --compare matches the records of two census files by (ring, kind, degree),
-prints every witness mismatch and the node and time totals per degree, and
-exits 1 when any witness differs or a scan is missing from either file.
+prints every witness mismatch, the number of scans whose node counts differ
+with the first few of them, and the node and time totals per degree.  It
+exits 1 when any witness differs or a scan is missing from either file; node
+counts do not set the exit status, since a new cut changes them by design,
+and a change that keeps the walk must show 0 of them.
 """
 
 from __future__ import annotations
@@ -66,9 +69,12 @@ def census(cap: int, degrees: list[int]) -> dict:
     return {"cap": cap, "degrees": degrees, "rings": len(rings), "scans": scans}
 
 
+NODE_MISMATCHES_SHOWN = 5
+
+
 def compare(old: dict, new: dict) -> int:
-    """Print the witness mismatches and the totals; the number of mismatched
-    or unmatched scans."""
+    """Print the witness and node mismatches and the totals; the number of
+    scans with mismatched witnesses or unmatched."""
     before, after = ({(rec["ring"], rec["kind"], rec["d"]): rec for rec in side["scans"]} for side in (old, new))
     bad = 0
     for k in sorted(before.keys() ^ after.keys()):
@@ -79,13 +85,16 @@ def compare(old: dict, new: dict) -> int:
         if before[k]["witness"] != after[k]["witness"]:
             print(f"witness mismatch: ring {k[0][:12]} {k[1]} d={k[2]}: {before[k]['witness']} -> {after[k]['witness']}")
             bad += 1
+    moved = [k for k in shared if before[k]["nodes"] != after[k]["nodes"]]
+    for k in moved[:NODE_MISMATCHES_SHOWN]:
+        print(f"node mismatch: ring {k[0][:12]} {k[1]} d={k[2]}: {before[k]['nodes']:,} -> {after[k]['nodes']:,}")
     for d in sorted({k[2] for k in shared}):
         keys = [k for k in shared if k[2] == d]
         n0, n1 = (sum(side[k]["nodes"] for k in keys) for side in (before, after))
         s0, s1 = (sum(side[k]["s"] for k in keys) for side in (before, after))
         change = f"{(n1 - n0) / n0:+.1%}" if n0 else "n/a"
         print(f"d={d}: {len(keys)} scans, nodes {n0:,} -> {n1:,} ({change}), scan time {s0:.1f} -> {s1:.1f} s")
-    print(f"{len(shared)} scans matched, {bad} mismatched or unmatched")
+    print(f"{len(shared)} scans matched, {bad} mismatched or unmatched, {len(moved)} with other node counts")
     return bad
 
 

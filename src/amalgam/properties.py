@@ -240,42 +240,67 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     return ring_memo(R, "factors", compute)
 
 
-def _cand_tables(R: FiniteRing, allowed: frozenset, target: frozenset) -> tuple[list, list, list]:
-    """cand[a][p], the b ascending with p + a*b in the allowed set;
-    mask[a][p], the same b as a bitmask; and bad[a], the bitmask of the b
-    with a*b outside the target set.
+class _Tables:
+    """The tables of one annihilating-pair search, for the constraint set sc
+    and the target set sv.
 
-    p + a*b is allowed exactly when a*b = s - p for an allowed s, so each row
-    groups b by the value of a*b and joins the groups of those values; bad[a]
-    is every b but the groups of the target values.  The tables are built per
-    search and never memoized: scans seldom repeat a (ring, allowed) pair, so
-    stored tables would cost memory for no reuse.
+    close[a] is the bitmask of the b with a*b in sc, and bad[a] the bitmask
+    of the b with a*b outside sv; both are built up front, by one membership
+    pass over each row.  cand[a][p], the b ascending with p + a*b in sc, and
+    mask[a][p], the same b as a bitmask, are built by row(a) on first read
+    and are None until then: a refuting degree-1 scan stops after a few
+    heads, so it reads a few of the n rows.  p + a*b is in sc exactly when
+    a*b = s - p for an s in sc, so a row groups b by the value of a*b and
+    joins the groups of those values.  The tables are per search and never
+    memoized: scans seldom repeat a (ring, sc) pair, so stored tables would
+    cost memory for no reuse.
     """
-    n = R.size
-    add, neg = R.add, R.neg
-    targets = sorted(allowed)
-    wanted = [[add[s][neg[p]] for s in targets] for p in range(n)]
-    # allowed = {0} (armendariz, weak) joins one group per entry: share it
-    single = [values[0] for values in wanted] if len(targets) == 1 else None
-    full = (1 << n) - 1
-    target_values = sorted(target)
-    cand, mask, bad = [], [], []
-    for row in R.mul:
-        groups: list[list[int]] = [[] for _ in range(n)]
-        bits = [0] * n
-        for b, v in enumerate(row):
-            groups[v].append(b)
-            bits[v] |= 1 << b
-        # the groups of distinct values are disjoint, so sum is union
-        bad.append(full ^ sum(map(bits.__getitem__, target_values)))
-        if single is not None:
-            shared = list(map(tuple, groups))
-            cand.append(list(map(shared.__getitem__, single)))
-            mask.append(list(map(bits.__getitem__, single)))
+
+    __slots__ = ("close", "bad", "cand", "mask", "_mul", "_wanted")
+
+    def __init__(self, R: FiniteRing, sc: frozenset, sv: frozenset) -> None:
+        n = R.size
+        bits = [1 << b for b in range(n)]
+        full = (1 << n) - 1
+        self.close = [sum(itertools.compress(bits, map(sc.__contains__, row))) for row in R.mul]
+        if sc == sv:
+            self.bad = [full ^ m for m in self.close]
         else:
-            cand.append([tuple(sorted(itertools.chain.from_iterable([groups[v] for v in vs]))) for vs in wanted])
-            mask.append([sum([bits[v] for v in vs]) for vs in wanted])
-    return cand, mask, bad
+            self.bad = [full ^ sum(itertools.compress(bits, map(sv.__contains__, row))) for row in R.mul]
+        add, neg, targets = R.add, R.neg, sorted(sc)
+        self._wanted = [[add[s][neg[p]] for s in targets] for p in range(n)]
+        self._mul = R.mul
+        self.cand: list = [None] * n
+        self.mask: list = [None] * n
+
+    def row(self, a: int) -> tuple[list, list]:
+        """cand[a] and mask[a], built on first read."""
+        if self.cand[a] is None:
+            n = len(self._mul)
+            groups: list[list[int]] = [[] for _ in range(n)]
+            bits = [0] * n
+            for b, v in enumerate(self._mul[a]):
+                groups[v].append(b)
+                bits[v] |= 1 << b
+            if len(self._wanted[0]) == 1:
+                # sc = {0} (armendariz, weak): each p takes one group
+                self.cand[a] = [tuple(groups[v]) for (v,) in self._wanted]
+                self.mask[a] = [bits[v] for (v,) in self._wanted]
+            else:
+                # the groups of distinct values are disjoint, so sum is union
+                self.cand[a] = [tuple(sorted(itertools.chain.from_iterable([groups[v] for v in vs]))) for vs in self._wanted]
+                self.mask[a] = [sum([bits[v] for v in vs]) for vs in self._wanted]
+        return self.cand[a], self.mask[a]
+
+
+def _bits(m: int) -> tuple[int, ...]:
+    """The set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
 
 def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int]:
@@ -302,8 +327,8 @@ def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int]:
 
 
 def _lex_leader_cut(
-    R: FiniteRing, sc: frozenset, sv: frozenset, cand: list
-) -> tuple[list[tuple[int, tuple[int, ...]]], tuple[int, ...], list]:
+    R: FiniteRing, sc: frozenset, sv: frozenset, close: list
+) -> tuple[Iterator[tuple[int, tuple[int, ...]]], tuple[int, ...], list]:
     """What the scans walk, as (heads, leads, tails).
 
     leads are the values f's first nonzero coefficient a_k takes: the least
@@ -311,9 +336,10 @@ def _lex_leader_cut(
     tails[x] are the values f's last coefficient a_d takes after a first
     nonzero coefficient x with k < d: x, x+1, ..., n-1; tails[zero], for f
     whose earlier coefficients are all zero, is leads.  heads pairs each a0
-    in leads with the b0 it walks, cand[a0][zero]; when sc and sv are both {0}
-    the b0 are cut to leads, and so is each later b_k short of the last
-    whose predecessors are all zero, which leaves the same level.
+    in leads with the b0 it walks, the set bits of close[a0] (the b with
+    a0*b in sc), as each scan reaches it; when sc and sv are both {0} the b0
+    are cut to leads, and so is each later b_k short of the last whose
+    predecessors are all zero, which leaves the same level.
 
     Three maps send a violating pair (f, g) to a violating pair: (f*u,
     u^-1*g) for a unit u keeps every product coefficient and cross product;
@@ -334,10 +360,8 @@ def _lex_leader_cut(
     n, zero = R.size, R.zero
     tails: list = [range(x, n) for x in range(n)]
     tails[zero] = reps
-    if sc == sv == {zero}:
-        heads = [(a0, tuple(b for b in cand[a0][zero] if (rep_mask >> b) & 1)) for a0 in reps]
-    else:
-        heads = [(a0, cand[a0][zero]) for a0 in reps]
+    cut = rep_mask if sc == sv == {zero} else -1
+    heads = ((a0, _bits(close[a0] & cut)) for a0 in reps)
     return heads, reps, tails
 
 
@@ -372,28 +396,28 @@ def _scan_block_generic(
     coefficient, candidates that cannot complete a violation are skipped, so
     the walk only ever lands on leaves that refute the property.  Returns the
     first such leaf as (f, g, i, j, product) plus the count of candidate nodes
-    visited.  Its bad masks come from their definition, not from
-    _cand_tables, so it checks the unrolled scans' masks independently.  It
-    walks only the f and g coefficients that _lex_leader_cut keeps, as the
-    unrolled scans do.
+    visited.  Its bad masks come from their definition, not from _Tables,
+    so it checks the unrolled scans' masks independently.  It walks only the
+    f and g coefficients that _lex_leader_cut keeps, as the unrolled scans
+    do.
     """
     n = R.size
-    cand = _cand_tables(R, sc, sv)[0]
+    tables = _Tables(R, sc, sv)
     bad = [sum([1 << b for b, p in enumerate(row) if p not in sv]) for row in R.mul]
     add, mul = R.add, R.mul
     zero = R.zero
     f = [0] * (d + 1)
     g = [0] * (d + 1)
     pend = [zero] * (2 * d + 1)
-    state = {"nodes": 0, "fbad": 0, "level0": ()}
-    heads, leads, tails = _lex_leader_cut(R, sc, sv, cand)
+    state = {"nodes": 0, "fbad": 0, "level0": (), "cand0": []}
+    heads, leads, tails = _lex_leader_cut(R, sc, sv, tables.close)
     lead_set = set(leads)
 
     def descend(k: int, flag: int, g_zero: bool) -> bool:
         fbad = state["fbad"]
         last = k == d
         # with b_0..b_{k-1} zero, pend[k] is zero and the cut level is level0
-        level = state["level0"] if not k or (g_zero and not last) else cand[f[0]][pend[k]]
+        level = state["level0"] if not k or (g_zero and not last) else state["cand0"][pend[k]]
         state["nodes"] += len(level)
         if node_budget is not None and state["nodes"] > node_budget:
             raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
@@ -428,6 +452,7 @@ def _scan_block_generic(
     for a0, level0 in heads:
         fb0 = bad[a0]
         state["level0"] = level0
+        state["cand0"] = tables.row(a0)[0]
         for rest in itertools.product(rng, repeat=d):
             fc = (a0, *rest)
             lead = next((a for a in fc[:d] if a != zero), zero)
@@ -455,25 +480,25 @@ def _scan_block_d1(
 
     g's last coefficient is chosen by mask intersection, not by a loop: the
     b1 closing both open constraints (a0*b1 + a1*b0 and a1*b1 in sc) are
-    mask[a0][a1*b0] & mask[a1][0], narrowed to fbad unless b0 already makes
+    mask[a0][a1*b0] & close[a1], narrowed to fbad unless b0 already makes
     the leaf bad, and the lowest set bit is the lex-first witness.  nodes
     still adds the whole candidate level, so the count is the generic one.
+    Only the rows of the heads the walk reaches are built.
     """
-    cand, mask, bad = _cand_tables(R, sc, sv)
-    heads, _, tails = _lex_leader_cut(R, sc, sv, cand)
+    tables = _Tables(R, sc, sv)
+    close, bad = tables.close, tables.bad
+    heads, _, tails = _lex_leader_cut(R, sc, sv, close)
     mul = R.mul
-    zero = R.zero
     nodes = 0
     for a0, level0 in heads:
         fb0 = bad[a0]
-        cand0 = cand[a0]
-        mask0 = mask[a0]
+        cand0, mask0 = tables.row(a0)
         for a1 in tails[a0]:
             fbad = fb0 | bad[a1]
             if fbad == 0:
                 continue
             mul1 = mul[a1]
-            close1 = mask[a1][zero]
+            close1 = close[a1]
             nodes += len(level0)
             if node_budget is not None and nodes > node_budget:
                 raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
@@ -498,30 +523,31 @@ def _scan_block_d2(
     """_scan_block_generic unrolled for degree bound 2.
 
     As in _scan_block_d1, g's last coefficient is the lowest set bit of
-    mask[a0][a1*b1 + a2*b0] & mask[a1][a2*b1] & mask[a2][0], narrowed to
+    mask[a0][a1*b1 + a2*b0] & mask[a1][a2*b1] & close[a2], narrowed to
     fbad unless b0 or b1 already makes the leaf bad.  With b0 = 0, b1's
-    level cand[a0][0] is the level of b0, cut the same way.
+    level cand[a0][0] is the level of b0, cut the same way.  A row is built
+    when the walk first reads it, with no call on later reads.
     """
-    cand, mask, bad = _cand_tables(R, sc, sv)
-    heads, leads, tails = _lex_leader_cut(R, sc, sv, cand)
+    tables = _Tables(R, sc, sv)
+    close, bad, mask = tables.close, tables.bad, tables.mask
+    heads, leads, tails = _lex_leader_cut(R, sc, sv, close)
     add, mul = R.add, R.mul
     zero = R.zero
     nodes = 0
     rng = range(R.size)
     for a0, level0 in heads:
         fb0 = bad[a0]
-        cand0 = cand[a0]
-        mask0 = mask[a0]
+        cand0, mask0 = tables.row(a0)
         for a1 in rng if a0 != zero else leads:
             fb01 = fb0 | bad[a1]
             mul1 = mul[a1]
-            mask1 = mask[a1]
+            mask1 = mask[a1] or tables.row(a1)[1]
             for a2 in tails[a0 if a0 != zero else a1]:
                 fbad = fb01 | bad[a2]
                 if fbad == 0:
                     continue
                 mul2 = mul[a2]
-                close2 = mask[a2][zero]
+                close2 = close[a2]
                 nodes += len(level0)
                 if node_budget is not None and nodes > node_budget:
                     raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
@@ -571,7 +597,7 @@ def annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterato
     if d < 0:
         raise ValueError("degree bound must be non-negative")
     sc = frozenset(members)
-    cand = _cand_tables(R, sc, sc)[0]
+    tables = _Tables(R, sc, sc)
     add, mul = R.add, R.mul
     zero = R.zero
     n = R.size
@@ -579,9 +605,9 @@ def annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterato
     g = [0] * width
     pend = [zero] * (2 * d + 1)
 
-    def emit(fc: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+    def emit(fc: tuple[int, ...], cand0: list, k: int) -> Iterator[tuple[int, ...]]:
         last = k == d
-        for b in cand[fc[0]][pend[k]]:
+        for b in cand0[pend[k]]:
             g[k] = b
             if d:
                 saved = pend[k + 1 : k + d + 1]
@@ -591,13 +617,13 @@ def annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterato
                 if all(pend[m] in sc for m in range(d + 1, 2 * d + 1)):
                     yield tuple(g)
             else:
-                yield from emit(fc, k + 1)
+                yield from emit(fc, cand0, k + 1)
             if d:
                 pend[k + 1 : k + d + 1] = saved
 
     for fc in itertools.product(range(n), repeat=width):
         f = Polynomial(R, fc)
-        for gc in emit(fc, 0):
+        for gc in emit(fc, tables.row(fc[0])[0], 0):
             yield f, Polynomial(R, gc)
 
 

@@ -408,24 +408,26 @@ def _resolve(model: SpecModel, *names: tuple[str, int]) -> list[FiniteRing]:
     return rings
 
 
-def _parse_options(words: list[tuple[str, int]], allowed: dict[str, bool], ln: _Line) -> dict[str, object]:
+def _parse_options(words: list[tuple[str, int]], allowed: dict[str, tuple[str, ...]]) -> dict[str, object]:
     """Parse trailing `key value` option pairs, given as (word, column);
-    allowed maps key -> wants a non-negative int.  The first bad pair is the
-    problem."""
+    allowed maps key -> the words its value may be, or () for a non-negative
+    int.  The first bad pair is the problem, at the column of its bad word."""
     opts: dict[str, object] = {}
     for i in range(0, len(words), 2):
-        key = words[i][0]
+        key, key_col = words[i]
         if key not in allowed:
-            raise _Problem((ln.col0, "SYNTAX", f"unexpected token {key!r}"))
+            raise _Problem((key_col, "SYNTAX", f"unexpected token {key!r}"))
         if i + 1 >= len(words):
-            raise _Problem((ln.col0, "SYNTAX", f"option {key!r} needs a value"))
+            raise _Problem((key_col, "SYNTAX", f"option {key!r} needs a value"))
         value, col = words[i + 1]
-        if not allowed[key]:
+        if allowed[key]:
+            if value not in allowed[key]:
+                raise _Problem((col, "SYNTAX", f"{key} takes {' or '.join(allowed[key])}, got {value!r}"))
             opts[key] = value
             continue
         parsed = _parse_int(value)
         if parsed is None:
-            raise _Problem((ln.col0, "SYNTAX", f"option {key!r} needs an integer, got {value!r}"))
+            raise _Problem((col, "SYNTAX", f"option {key!r} needs an integer, got {value!r}"))
         if parsed < 0:
             raise _Problem((col, "CONSTRAINT", f"option {key!r} must be non-negative, got {parsed}"))
         opts[key] = parsed
@@ -499,13 +501,13 @@ def _hom(model: SpecModel, ln: _Line) -> HomDecl:
         if len(sides) != 2:
             raise _Problem((col, "SYNTAX", f"expected x -> y, got {pair_text!r}"))
         try:
-            pairs.append((parse_element(dom, sides[0]), parse_element(cod, sides[1])))
+            pairs.append((parse_element(dom, sides[0]), parse_element(cod, sides[1]), col))
         except LiteralError as exc:
             raise _Problem((col, "CONSTRAINT", str(exc)))
     amap = {dom.zero: cod.zero, dom.one: cod.one}
-    for x, y in pairs:
+    for x, y, col in pairs:
         if amap.get(x, y) != y:
-            raise _Problem((ln.col0, "CONSTRAINT", f"conflicting images for element {format_element(dom, x)}"))
+            raise _Problem((col, "CONSTRAINT", f"conflicting images for element {format_element(dom, x)}"))
         amap[x] = y
     closed = _propagate(dom, cod, amap)
     if closed is None:
@@ -522,7 +524,7 @@ def _hom(model: SpecModel, ln: _Line) -> HomDecl:
         v = exc.violation
         raise _Problem((ln.col0, "CONSTRAINT", f"the completed map is not a homomorphism: breaks {v.law} at {v.witness}"))
     return HomDecl(
-        name, dom_name, cod_name, "map", tuple((format_element(dom, x), format_element(cod, y)) for x, y in pairs)
+        name, dom_name, cod_name, "map", tuple((format_element(dom, x), format_element(cod, y)) for x, y, _ in pairs)
     )
 
 
@@ -557,15 +559,12 @@ def _check(model: SpecModel, ln: _Line) -> CheckDirective:
     if prop not in PROPS:
         raise _Problem((prop_col, "UNKNOWN_CONSTRUCTOR", f"unknown property {prop!r}; expected one of {', '.join(PROPS)}"))
     _resolve(model, (target, target_col))
-    opts = _parse_options(rest[2:], {"degree": True, "assert": False}, ln)
-    assertion = opts.get("assert")
-    if assertion not in (None, "holds", "refuted"):
-        raise _Problem((ln.col0, "SYNTAX", f"assert takes holds or refuted, got {assertion!r}"))
-    return CheckDirective(target, prop, opts.get("degree"), assertion)
+    opts = _parse_options(rest[2:], {"degree": (), "assert": ("holds", "refuted")})
+    return CheckDirective(target, prop, opts.get("degree"), opts.get("assert"))
 
 
 def _harness(model: SpecModel, ln: _Line) -> HarnessDirective:
-    return HarnessDirective(_parse_options(ln.words(), {"degree": True}, ln).get("degree"))
+    return HarnessDirective(_parse_options(ln.words(), {"degree": ()}).get("degree"))
 
 
 def _search(model: SpecModel, ln: _Line) -> SearchDirective:
@@ -575,7 +574,7 @@ def _search(model: SpecModel, ln: _Line) -> SearchDirective:
     goal, goal_col = rest[0]
     if goal not in GOALS:
         raise _Problem((goal_col, "UNKNOWN_CONSTRUCTOR", f"unknown goal {goal!r}; expected one of {', '.join(GOALS)}"))
-    opts = _parse_options(rest[1:], {"degree": True, "max-size": True}, ln)
+    opts = _parse_options(rest[1:], {"degree": (), "max-size": ()})
     return SearchDirective(goal, opts.get("degree"), opts.get("max-size"))
 
 

@@ -30,8 +30,10 @@ from amalgam.properties import (
     naive_annihilating_pairs,
     naive_poly_check,
     property_profile,
-    _cand_tables,
+    _Tables,
+    _bits,
     _kind_sets,
+    _lex_leader_cut,
     _scan_block_d1,
     _scan_block_d2,
     _scan_block_generic,
@@ -392,11 +394,11 @@ def test_orbit_cut_scans_find_the_lex_first_witness_of_the_full_walk(small_rings
                         break
 
 
-def _uncut(R: FiniteRing, sc: frozenset, sv: frozenset, cand: list):
+def _uncut(R: FiniteRing, sc: frozenset, sv: frozenset, close: list):
     """_lex_leader_cut with every cut disabled: every a0 with every b0, every
     value for a lead coefficient and for f's last coefficient."""
     n = R.size
-    return [(a, cand[a][R.zero]) for a in range(n)], tuple(range(n)), [range(n)] * n
+    return [(a, _bits(close[a])) for a in range(n)], tuple(range(n)), [range(n)] * n
 
 
 def test_orbit_cut_scans_match_the_uncut_walk(monkeypatch, small_rings):
@@ -493,20 +495,62 @@ def test_violation_is_invariant_under_the_scan_symmetries(data):
 
 
 def test_search_tables_match_their_definition(small_rings):
-    """cand, mask and bad, which _cand_tables derives from one grouping of
-    each row by product value, held to their definitions."""
+    """close and bad, which _Tables builds up front by one membership pass
+    per row, and the cand and mask rows, which it builds on first read from
+    one grouping of the row by product value, held to their definitions;
+    a row is filled by its own read and no other."""
     for R in small_rings:
         rng = range(R.size)
         for kind in POLY_KINDS:
             sc, sv = _kind_sets(R, kind)
-            cand, mask, bad = _cand_tables(R, sc, sv)
+            tables = _Tables(R, sc, sv)
+            assert tables.cand == tables.mask == [None] * R.size
             for a in rng:
                 row = R.mul[a]
-                assert bad[a] == sum(1 << b for b in rng if row[b] not in sv)
+                assert tables.close[a] == sum(1 << b for b in rng if row[b] in sc)
+                assert tables.bad[a] == sum(1 << b for b in rng if row[b] not in sv)
+                assert tables.row(a) == (tables.cand[a], tables.mask[a])
+                assert tables.cand[a + 1 :] == [None] * (R.size - a - 1)
                 for p in rng:
                     want = tuple(b for b in rng if R.add[p][row[b]] in sc)
-                    assert cand[a][p] == want
-                    assert mask[a][p] == sum(1 << b for b in want)
+                    assert tables.cand[a][p] == want
+                    assert tables.mask[a][p] == sum(1 << b for b in want)
+
+
+def test_refuting_degree_one_scans_fill_only_the_rows_of_the_heads_they_walk(monkeypatch, t2, m2, scenario_data):
+    """A refuting degree-1 scan builds the cand and mask rows of the heads
+    up to and including its witness's a0 and of no other element, on t2,
+    m2 and the first non-Armendariz 64-element amalgam of the default
+    scenarios."""
+    big = next(
+        s.am.ring for s in scenario_data[1] if s.am.ring.size == 64 and not holds(s.am.ring, PropertyKind.ARMENDARIZ, 1)
+    )
+    made = []
+
+    class Recorded(_Tables):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(properties, "_Tables", Recorded)
+    for R in (t2, m2, big):
+        refuted = 0
+        for kind in POLY_KINDS:
+            sc, sv = _kind_sets(R, kind)
+            made.clear()
+            wit, _ = _scan_block_d1(R, sc, sv, None)
+            if wit is None:
+                continue
+            refuted += 1
+            (tables,) = made
+            heads = [a0 for a0, _ in _lex_leader_cut(R, sc, sv, tables.close)[0]]
+            walked = heads[: heads.index(wit[0][0]) + 1]
+            assert [a for a in range(R.size) if tables.cand[a] is not None] == sorted(walked), (R.provenance, kind)
+            assert [a for a in range(R.size) if tables.mask[a] is not None] == sorted(walked), (R.provenance, kind)
+        assert refuted, R.provenance
+    assert len(walked) < big.size
 
 
 def test_holding_amalgam_holds_at_degree_two():

@@ -388,7 +388,7 @@ FROZEN_DIAGNOSTICS = [
     ('hom h : A -> A = map { 1 }', [(24, 'SYNTAX', "expected x -> y, got '1'")]),
     ('hom h : A -> A = map { x -> 1 }', [(24, 'CONSTRAINT', "expected an integer modulo 4, got 'x'")]),
     ('hom h : A -> A = map { 1 -> x }', [(24, 'CONSTRAINT', "expected an integer modulo 4, got 'x'")]),
-    ('hom h : P -> P = map { (0,1) -> (1,1), (0,1) -> (0,1) }', [(1, 'CONSTRAINT', 'conflicting images for element (0,1)')]),
+    ('hom h : P -> P = map { (0,1) -> (1,1), (0,1) -> (0,1) }', [(40, 'CONSTRAINT', 'conflicting images for element (0,1)')]),
     ('hom h : A -> A = map { 2 -> 1 }', [(1, 'CONSTRAINT', 'the given images are inconsistent with + and *')]),
     ('hom h : P -> P = map { }', [(1, 'CONSTRAINT', 'the map does not determine the image of (0,1); add a mapping for it')]),
     ('hom h : A -> A = bogus thing', [(18, 'UNKNOWN_CONSTRUCTOR', "expected canonical or map, got 'bogus'")]),
@@ -415,20 +415,23 @@ FROZEN_DIAGNOSTICS = [
             (12, 'UNKNOWN_CONSTRUCTOR', "unknown property 'primality'; expected one of reduced, semicommutative, armendariz, nil-armendariz, weak-armendariz"),
         ],
     ),
-    ('check A armendariz frobs 2', [(1, 'SYNTAX', "unexpected token 'frobs'")]),
-    ('check A armendariz degree', [(1, 'SYNTAX', "option 'degree' needs a value")]),
-    ('check A armendariz degree two', [(1, 'SYNTAX', "option 'degree' needs an integer, got 'two'")]),
+    ('check A armendariz frobs 2', [(20, 'SYNTAX', "unexpected token 'frobs'")]),
+    ('check A armendariz degree', [(20, 'SYNTAX', "option 'degree' needs a value")]),
+    ('check A armendariz degree two', [(27, 'SYNTAX', "option 'degree' needs an integer, got 'two'")]),
     ('check A armendariz degree -1', [(27, 'CONSTRAINT', "option 'degree' must be non-negative, got -1")]),
-    ('check A armendariz assert maybe', [(1, 'SYNTAX', "assert takes holds or refuted, got 'maybe'")]),
-    ('check A armendariz assert', [(1, 'SYNTAX', "option 'assert' needs a value")]),
-    ('harness degree x', [(1, 'SYNTAX', "option 'degree' needs an integer, got 'x'")]),
-    ('harness verbose', [(1, 'SYNTAX', "unexpected token 'verbose'")]),
-    ('harness degree', [(1, 'SYNTAX', "option 'degree' needs a value")]),
+    ('check A armendariz assert maybe', [(27, 'SYNTAX', "assert takes holds or refuted, got 'maybe'")]),
+    ('check A armendariz assert maybe degree two', [(27, 'SYNTAX', "assert takes holds or refuted, got 'maybe'")]),
+    ('check A armendariz assert', [(20, 'SYNTAX', "option 'assert' needs a value")]),
+    ('harness degree x', [(16, 'SYNTAX', "option 'degree' needs an integer, got 'x'")]),
+    ('harness verbose', [(9, 'SYNTAX', "unexpected token 'verbose'")]),
+    ('harness degree', [(9, 'SYNTAX', "option 'degree' needs a value")]),
     ('harness degree -2', [(16, 'CONSTRAINT', "option 'degree' must be non-negative, got -2")]),
     ('search', [(1, 'ARITY', 'expected: search GOAL [degree INT] [max-size INT]')]),
     ('search grail', [(8, 'UNKNOWN_CONSTRUCTOR', "unknown goal 'grail'; expected one of weak-not-nil, armendariz-refutation")]),
     ('search weak-not-nil max-size -3', [(30, 'CONSTRAINT', "option 'max-size' must be non-negative, got -3")]),
-    ('search weak-not-nil size 3', [(1, 'SYNTAX', "unexpected token 'size'")]),
+    ('search weak-not-nil size 3', [(21, 'SYNTAX', "unexpected token 'size'")]),
+    ('search weak-not-nil degree x', [(28, 'SYNTAX', "option 'degree' needs an integer, got 'x'")]),
+    ('search weak-not-nil max-size', [(21, 'SYNTAX', "option 'max-size' needs a value")]),
     ('zork', [(1, 'SYNTAX', "unknown statement 'zork'")]),
     ('   zork it', [(4, 'SYNTAX', "unknown statement 'zork'")]),
 ]
