@@ -52,6 +52,8 @@ __all__ = [
     "property_profile",
     "get_report",
     "holds",
+    "poly_verdicts",
+    "file_poly_verdicts",
     "ring_memo",
     "nil_set",
     "clear_caches",
@@ -810,6 +812,26 @@ def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_bu
         return get_report(R, kind, d, node_budget=node_budget).holds
 
     return ring_memo(R, key, compute)
+
+
+def poly_verdicts(R: FiniteRing, d: int, node_budget: Optional[int] = None) -> tuple[Optional[bool], ...]:
+    """holds(R, kind, d) for each of POLY_KINDS, None where the search ran out
+    of node_budget.  Module-level, so a process pool can map it."""
+    out = []
+    for kind in POLY_KINDS:
+        try:
+            out.append(holds(R, kind, d, node_budget=node_budget))
+        except SearchBudgetError:
+            out.append(None)
+    return tuple(out)
+
+
+def file_poly_verdicts(R: FiniteRing, d: int, verdicts: tuple[Optional[bool], ...]) -> None:
+    """File poly_verdicts(R, d) where holds(R, kind, d) reads it; a None is
+    not filed, so holds searches again and runs out of the same budget."""
+    for kind, verdict in zip(POLY_KINDS, verdicts):
+        if verdict is not None:
+            ring_memo(R, ("holds", kind, d), lambda v=verdict: v)
 
 
 @dataclass(frozen=True)

@@ -474,7 +474,8 @@ def is_unit(R: FiniteRing, a: int) -> bool:
 
 
 def units(R: FiniteRing) -> frozenset[int]:
-    return frozenset(x for x in range(R.size) if is_unit(R, x))
+    """The elements with a right inverse: in a finite ring a*b = 1 forces b*a = 1."""
+    return frozenset(x for x, row in enumerate(R.mul) if R.one in row)
 
 
 def regular_central(R: FiniteRing) -> frozenset[int]:

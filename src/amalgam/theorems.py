@@ -12,10 +12,12 @@ aggregates per-clause tallies into a deterministic report.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .constructions import amalgamation, direct_product, f_plus_j, matrix_ring, poly_quotient, upper_triangular, zmod
 from .errors import SearchBudgetError
@@ -28,7 +30,7 @@ from .morphisms import (
     is_semicommutative_ideal,
     preimage_ideal,
 )
-from .properties import PropertyKind, get_report, holds, nil_set
+from .properties import PropertyKind, file_poly_verdicts, get_report, holds, nil_set, poly_verdicts
 from .rings import FiniteRing, regular_central, ring_memo
 
 __all__ = [
@@ -69,11 +71,12 @@ class Scenario:
     memo facts of A and B, built once and shared between scenarios; and
     clear_caches() resets them all.  The structural predicates are set
     expressions over those facts, so a scenario keeps no memo of its own.
+    Its verdict queries search under node_budget, fixed at construction.
     """
 
     __slots__ = ("base_name", "target_name", "hom", "ideal", "am", "faj", "preimage", "key", "node_budget")
 
-    def __init__(self, base_name: str, target_name: str, hom: RingHom, ideal: Ideal):
+    def __init__(self, base_name: str, target_name: str, hom: RingHom, ideal: Ideal, node_budget: Optional[int] = None):
         self.base_name = base_name
         self.target_name = target_name
         self.hom = hom
@@ -84,7 +87,7 @@ class Scenario:
         fmap = ",".join(map(str, hom.map))
         members = ",".join(map(str, ideal.members))
         self.key = f"{base_name}->{target_name}|f=[{fmap}]|J=[{members}]"
-        self.node_budget: Optional[int] = None
+        self.node_budget = node_budget
 
     @property
     def base(self) -> FiniteRing:
@@ -399,13 +402,7 @@ def evaluate_clause(clause: TheoremClause, scenario: Scenario, degree: int) -> C
     )
 
 
-def evaluate_scenario(
-    scenario: Scenario,
-    registry: tuple[TheoremClause, ...],
-    degree: int,
-    node_budget: Optional[int] = None,
-) -> list[ClauseOutcome]:
-    scenario.node_budget = node_budget
+def evaluate_scenario(scenario: Scenario, registry: tuple[TheoremClause, ...], degree: int) -> list[ClauseOutcome]:
     return [evaluate_clause(clause, scenario, degree) for clause in registry]
 
 
@@ -418,7 +415,8 @@ MAX_PRODUCT_SIZE = 16
 
 @dataclass(frozen=True)
 class CorpusConfig:
-    """The one harness setting: the largest amalgam a scenario may build.
+    """The largest amalgam a scenario may build, and the node budget of every
+    search a verdict starts (None: unbounded; not part of the report).
 
     The ring catalog itself is fixed: zmod(n) for n in ZMOD_MODULI, the 2x2
     upper-triangular and full matrix rings over zmod(2), three truncated
@@ -427,6 +425,7 @@ class CorpusConfig:
     """
 
     max_amalgam_size: int = 64
+    node_budget: Optional[int] = None
 
 
 def build_corpus() -> list[tuple[str, FiniteRing]]:
@@ -468,7 +467,7 @@ def build_scenarios(config: CorpusConfig = CorpusConfig()) -> tuple[list[tuple[s
                 continue
             for hom in enumerate_homs(A, B):
                 for J in usable:
-                    scenarios.append(Scenario(base_name, target_name, hom, J))
+                    scenarios.append(Scenario(base_name, target_name, hom, J, config.node_budget))
     return corpus, scenarios
 
 
@@ -553,35 +552,13 @@ class HarnessReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-_WORKER_CTX: Optional[tuple[list[Scenario], tuple[TheoremClause, ...], int, Optional[int]]] = None
-
-
-def _worker_init(scenarios: list[Scenario], degree: int, node_budget: Optional[int]) -> None:
-    # The scenarios come from the parent (inherited under fork); the clauses
-    # are rebuilt here because their lambdas do not pickle.
-    global _WORKER_CTX
-    _WORKER_CTX = (scenarios, clause_registry(), degree, node_budget)
-
-
-def _worker_eval(index: int) -> list[ClauseOutcome]:
-    assert _WORKER_CTX is not None
-    scenarios, registry, degree, node_budget = _WORKER_CTX
-    return evaluate_scenario(scenarios[index], registry, degree, node_budget)
-
-
-def run_harness(
-    config: Optional[CorpusConfig] = None,
-    *,
-    degree: int = 2,
-    workers: int = 1,
-    node_budget: Optional[int] = None,
-) -> HarnessReport:
+def run_harness(config: Optional[CorpusConfig] = None, *, degree: int = 2, workers: int = 1) -> HarnessReport:
     """Evaluate every clause on every scenario and aggregate the tallies.
 
-    The scenarios are built once, here; with workers > 1 they are handed to
-    the pool processes, which evaluate them by index.  Outcomes are folded in
-    scenario order as they arrive, so the report is identical for any worker
-    count.
+    poly_verdicts is mapped over bare copies of the distinct base, amalgam
+    and f(A) + J tables, largest first, in a pool when workers > 1; the
+    clauses then run here, in scenario order, so the report is the same for
+    any worker count.
     """
     if degree < 0:
         raise ValueError("degree bound must be non-negative")
@@ -589,33 +566,33 @@ def run_harness(
         raise ValueError("worker count must be at least 1")
     config = config or CorpusConfig()
     registry = clause_registry()
-    corpus, scenarios = build_scenarios(config)
+    # The pool starts before the scenarios exist, so its forked workers hold
+    # only the tables they are sent.  Chunks of 16 amortise the round trip of
+    # millisecond verdicts; largest first, the last chunks are the cheapest.
+    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
+        corpus, scenarios = build_scenarios(config)
+        distinct = {R.digest(): R for sc in scenarios for R in (sc.base, sc.am.ring, sc.faj.ring)}
+        tables = sorted(distinct.values(), key=lambda R: -R.size)
+        bare = (FiniteRing(R.size, R.add, R.mul, R.zero, R.one) for R in tables)
+        job = partial(poly_verdicts, d=degree, node_budget=config.node_budget)
+        for R, vs in zip(tables, pool.imap(job, bare, 16) if pool else map(job, bare)):
+            file_poly_verdicts(R, degree, vs)
+
     summaries = {c.clause_id: ClauseSummary(c.clause_id, c.summary, c.shape) for c in registry}
-
-    def fold(outcomes: Iterable[list[ClauseOutcome]]) -> None:
-        for outcome_list in outcomes:
-            for o in outcome_list:
-                s = summaries[o.clause_id]
-                s.tested += 1
-                if o.status is OutcomeStatus.HYPOTHESIS_FAILED:
-                    s.hypothesis_failed += 1
-                elif o.status is OutcomeStatus.PASSED:
-                    s.passed += 1
-                elif o.status is OutcomeStatus.VIOLATION_CANDIDATE:
-                    s.violation_candidates.append((o.scenario_key, o.detail))
-                elif o.status is OutcomeStatus.HARD_VIOLATION:
-                    s.hard_violations.append((o.scenario_key, o.detail))
-                else:
-                    s.skipped_budget.append((o.scenario_key, o.detail))
-
-    if workers == 1:
-        fold(evaluate_scenario(s, registry, degree, node_budget) for s in scenarios)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(scenarios, degree, node_budget)
-        ) as pool:
-            chunk = max(1, len(scenarios) // (workers * 4))
-            fold(pool.map(_worker_eval, range(len(scenarios)), chunksize=chunk))
+    for scenario in scenarios:
+        for o in evaluate_scenario(scenario, registry, degree):
+            s = summaries[o.clause_id]
+            s.tested += 1
+            if o.status is OutcomeStatus.HYPOTHESIS_FAILED:
+                s.hypothesis_failed += 1
+            elif o.status is OutcomeStatus.PASSED:
+                s.passed += 1
+            elif o.status is OutcomeStatus.VIOLATION_CANDIDATE:
+                s.violation_candidates.append((o.scenario_key, o.detail))
+            elif o.status is OutcomeStatus.HARD_VIOLATION:
+                s.hard_violations.append((o.scenario_key, o.detail))
+            else:
+                s.skipped_budget.append((o.scenario_key, o.detail))
     for clause in registry:
         s = summaries[clause.clause_id]
         if s.tested > 0 and s.hypothesis_failed == s.tested:

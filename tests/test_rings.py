@@ -93,6 +93,13 @@ def test_units_and_regular_central(z4):
     assert reg == {1, 3}
 
 
+def test_units_by_row_are_the_two_sided_units(small_rings):
+    """A right inverse is two-sided in a finite ring, so the one-sided row
+    test of units() finds exactly the elements is_unit accepts."""
+    for R in small_rings:
+        assert units(R) == {x for x in range(R.size) if is_unit(R, x)}, R
+
+
 def test_commutativity_flags(z4, t2, m2):
     assert is_commutative(z4)
     assert not is_commutative(m2)
