@@ -1,14 +1,18 @@
 """Census of the direct annihilating-pair scans: the witness and node count
-of every scan of the distinct rings of the capped harness scenarios.
+of every scan of the distinct rings of the capped harness scenarios, with
+the holds verdict beside it.
 
 Usage (from the root of a checkout):
     python scripts/scan_census.py [--cap 32] [--degrees 1 2] [--out census.json]
     python scripts/scan_census.py --compare parent.json change.json
 
-The first form runs the engine's direct scan (no memo, factor split or nil
-quotient) for each of the three polynomial kinds at each degree on every
-distinct base, target, amalgam and f(A)+J ring of the scenarios whose
-amalgams have at most --cap elements, and writes one JSON record per scan.
+The first form runs the engine's direct scan of R itself (no memo, degree
+lift, nil ideal or factor split) for each of the three polynomial kinds at
+each degree on every distinct base, target, amalgam and f(A)+J ring of the
+scenarios whose amalgams have at most --cap elements, and writes one JSON
+record per scan.  Beside each scan it records holds(R, kind, d), computed
+from an empty memo, so every shortcut is held to the scan: it prints each
+record where the two verdicts disagree and exits 1 if any does.
 The source tree on PYTHONPATH comes before this checkout's own `src`, so
 `PYTHONPATH=other/src python scripts/scan_census.py` takes a census of
 another checkout.  A cut in the scans that keeps every lex-minimal witness
@@ -32,7 +36,7 @@ from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
-from amalgam.properties import POLY_KINDS, _kind_sets, _search_violation  # noqa: E402
+from amalgam.properties import POLY_KINDS, _kind_sets, _search_violation, clear_caches, holds  # noqa: E402
 from amalgam.theorems import CorpusConfig, build_scenarios  # noqa: E402
 
 
@@ -56,6 +60,8 @@ def census(cap: int, degrees: list[int]) -> dict:
                 sc, sv = _kind_sets(R, kind)
                 start = time.perf_counter()
                 wit, nodes = _search_violation(R, d, sc, sv, None)
+                elapsed = time.perf_counter() - start
+                clear_caches()
                 scans.append({
                     "ring": R.digest(),
                     "size": R.size,
@@ -63,13 +69,24 @@ def census(cap: int, degrees: list[int]) -> dict:
                     "d": d,
                     "witness": None if wit is None else [list(wit[0]), list(wit[1]), *wit[2:]],
                     "nodes": nodes,
-                    "s": round(time.perf_counter() - start, 6),
+                    "s": round(elapsed, 6),
+                    "holds": holds(R, kind, d),
                 })
             print(f"d={d} ring {number}/{len(rings)} ({R.size} elements)", file=sys.stderr)
     return {"cap": cap, "degrees": degrees, "rings": len(rings), "scans": scans}
 
 
 NODE_MISMATCHES_SHOWN = 5
+
+
+def disagreements(result: dict) -> int:
+    """Print every scan whose holds verdict is not the scan's; their number."""
+    bad = [rec for rec in result["scans"] if rec["holds"] != (rec["witness"] is None)]
+    for rec in bad:
+        print(f"verdict mismatch: ring {rec['ring'][:12]} {rec['kind']} d={rec['d']}: "
+              f"scan witness {rec['witness']}, holds {rec['holds']}", file=sys.stderr)
+    print(f"{len(result['scans'])} scans, {len(bad)} holds verdicts disagree with the scan", file=sys.stderr)
+    return len(bad)
 
 
 def compare(old: dict, new: dict) -> int:
@@ -108,12 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.compare:
         old, new = (json.loads(path.read_text()) for path in args.compare)
         return 1 if compare(old, new) else 0
-    text = json.dumps(census(args.cap, args.degrees), indent=0)
+    result = census(args.cap, args.degrees)
+    text = json.dumps(result, indent=0)
     if args.out:
         args.out.write_text(text + "\n")
     else:
         print(text)
-    return 0
+    return 1 if disagreements(result) else 0
 
 
 if __name__ == "__main__":

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
 
-from .constructions import quotient_ring
-from .errors import InternalInvariantError, NotAnIdealError, SearchBudgetError
-from .morphisms import Ideal
+from .errors import InternalInvariantError, SearchBudgetError
+from .morphisms import _ideal_defect
 from .poly import Polynomial, poly_mul, product_coeffs_in_set
 from .rings import (
     _MEMO,
@@ -186,10 +185,12 @@ class PropertyReport:
     It counts the walk after the lex-leader cuts (_lex_leader_cut: f's first
     nonzero coefficient a_k least in its unit orbit and at most f's last
     coefficient, since unit multiples, reversal and division by x map
-    violating pairs to violating pairs), depends on the engine route (factor
-    split, quotient shortcut), and is excluded from reports that must be
-    byte-identical across worker configurations.  A report is a fact about
-    a table: rings with equal tables share one.
+    violating pairs to violating pairs).  It is the node count of R's own
+    direct scan, 0 when a shortcut (nil ideal, factor split) confirmed the
+    verdict, and is excluded from reports that must be byte-identical
+    across worker configurations.  A REFUTED report always takes its witness
+    from R's own scan.  A report is a fact about a table: rings with equal
+    tables share one.
     """
 
     kind: PropertyKind
@@ -212,34 +213,49 @@ def nil_set(R: FiniteRing) -> frozenset:
     return ring_memo(R, "nil", lambda: nilradical(R))
 
 
-def _nil_quotient(R: FiniteRing) -> Optional[tuple[FiniteRing, tuple[int, ...]]]:
-    """R modulo its nilradical when that set is a two-sided ideal, else None."""
-
-    def compute() -> Optional[tuple[FiniteRing, tuple[int, ...]]]:
-        try:
-            nil = Ideal(R, tuple(sorted(nil_set(R))))
-        except NotAnIdealError:
-            return None
-        return quotient_ring(R, nil)
-
-    return ring_memo(R, "nil_quotient", compute)
+def _nil_is_ideal(R: FiniteRing) -> bool:
+    """Whether the nilpotents of R form a two-sided ideal."""
+    return ring_memo(R, "nil_ideal", lambda: _ideal_defect(R, sorted(nil_set(R))) is None)
 
 
 def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     """Split R along central idempotents until no factor splits further.
 
     Always splits at the smallest nontrivial central idempotent, so the factor
-    list is canonical for a given table.
+    list is canonical for a given table.  The factors are bare tables, with
+    no labels or structure, so the memo never keeps R alive.
     """
 
     def compute() -> tuple[FiniteRing, ...]:
         idems = central_idempotents(R)
         if not idems:
-            return (R,)
+            return (FiniteRing(R.size, R.add, R.mul, R.zero, R.one),)
         left, right = split_by_central_idempotent(R, idems[0])
         return _indecomposable_factors(left) + _indecomposable_factors(right)
 
     return ring_memo(R, "factors", compute)
+
+
+def _shortcut(R: FiniteRing, kind: PropertyKind, d: int, node_budget: Optional[int]) -> Optional[bool]:
+    """kind's verdict on R at degree bound d without a scan of R, or None.
+
+    When the nilpotents N form an ideal, R/N is reduced (x^k in N forces x in
+    N) and so Armendariz at every bound (Armendariz 1974).  Then f*g in N[x],
+    or f*g = 0, projects to a vanishing product in R/N, so every a_i*b_j lies
+    in N: nil-Armendariz and weak Armendariz hold with no search.  Every
+    polynomial kind splits across a direct product at any fixed bound: a
+    violating pair in a factor is one in R, and a violating pair in R
+    projects onto the factor where the offending product survives.  So R
+    holds exactly when every factor does, and one refuting factor refutes R.
+    """
+    if d < 0:
+        raise ValueError("degree bound must be non-negative")
+    if kind is not PropertyKind.ARMENDARIZ and _nil_is_ideal(R):
+        return True
+    factors = _indecomposable_factors(R)
+    if len(factors) == 1:
+        return None
+    return all(holds(piece, kind, d, node_budget=node_budget) for piece in factors)
 
 
 class _Tables:
@@ -676,45 +692,11 @@ def _poly_property_check(
     d: int,
     node_budget: Optional[int],
 ) -> PropertyReport:
-    if d < 0:
-        raise ValueError("degree bound must be non-negative")
-    sc, sv = _kind_sets(R, kind)
-    examined = 0
-    if kind in (PropertyKind.NIL_ARMENDARIZ, PropertyKind.WEAK_ARMENDARIZ):
-        # When the nilpotents form an ideal, work modulo them: f*g lands in
-        # nil[x] exactly when the projected product vanishes, and a product of
-        # coefficients is nilpotent exactly when its projection is zero.  For
-        # the nil property this is an equivalence; for the weak property a
-        # clean quotient still forces a clean lift because the zero-product
-        # hypothesis projects forward.  A refuted quotient falls through to
-        # the direct search so witnesses stay exact and lexicographically
-        # minimal in R itself.
-        quotient = _nil_quotient(R)
-        if quotient is not None:
-            qrep = get_report(quotient[0], PropertyKind.ARMENDARIZ, d, node_budget=node_budget)
-            examined += qrep.pairs_examined
-            if qrep.verdict is not Verdict.REFUTED:
-                return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined)
-    factors = _indecomposable_factors(R)
-    if len(factors) > 1:
-        # All three properties split across a direct product at any fixed
-        # bound: a violating pair in a factor lifts by padding the other
-        # coordinates with zero, and a violating pair in the product projects
-        # onto the factor where the offending product survives.  A clean
-        # verdict on every factor therefore settles the ring; a dirty factor
-        # falls through to the direct search so the recorded witness is the
-        # lexicographically smallest one in R's own indexing.
-        clean = True
-        for piece in factors:
-            prep = get_report(piece, kind, d, node_budget=node_budget)
-            examined += prep.pairs_examined
-            if prep.verdict is Verdict.REFUTED:
-                clean = False
-                break
-        if clean:
-            return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined)
-    wit, pairs = _search_violation(R, d, sc, sv, node_budget)
-    examined += pairs
+    """A HOLDS report when _shortcut confirms kind, else R's own direct scan,
+    so a refutation's witness is the lex-minimal one in R's indexing."""
+    if _shortcut(R, kind, d, node_budget):
+        return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, 0)
+    wit, examined = _search_violation(R, d, *_kind_sets(R, kind), node_budget)
     if wit is None:
         return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined)
     witness = PolyWitness(*wit)
@@ -789,13 +771,14 @@ def get_report(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, no
 def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_budget: Optional[int] = None) -> bool:
     """Memoized verdict of get_report(R, kind, d), without a witness.
 
-    A refutation at degree d-1 padded with zeros refutes at degree d: the
-    product coefficients are the same plus zeros, and 0 lies in every
-    constraint set.  So a polynomial kind asks degree d-1 first and answers
-    REFUTED from it with no degree-d search.  Degree 0 never refutes, so the
-    lift starts at d = 2.  A lower-degree probe that runs out of budget falls
-    back to the degree-d report, so a budgeted query is never less decided
-    than get_report.
+    A polynomial kind tries the degree lift, then _shortcut, and scans R
+    through get_report only when neither decides.  A refutation at degree
+    d-1 padded with zeros refutes at degree d: the product coefficients are
+    the same plus zeros, and 0 lies in every constraint set.  So the lift
+    asks degree d-1 first and answers REFUTED from it with no degree-d
+    search.  Degree 0 never refutes, so the lift starts at d = 2.  A
+    lower-degree probe that runs out of budget falls back to the degree-d
+    query, so a budgeted query is never less decided than get_report.
     """
     key = ("holds", kind, d)
     verdict = _stored(R, key)
@@ -803,12 +786,16 @@ def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_bu
         return verdict
 
     def compute() -> bool:
-        if kind in POLY_KINDS and d is not None and d >= 2:
-            try:
-                if not holds(R, kind, d - 1, node_budget=node_budget):
-                    return False
-            except SearchBudgetError:
-                pass
+        if kind in POLY_KINDS and d is not None:
+            if d >= 2:
+                try:
+                    if not holds(R, kind, d - 1, node_budget=node_budget):
+                        return False
+                except SearchBudgetError:
+                    pass
+            shortcut = _shortcut(R, kind, d, node_budget)
+            if shortcut is not None:
+                return shortcut
         return get_report(R, kind, d, node_budget=node_budget).holds
 
     return ring_memo(R, key, compute)
