@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import SizeBudgetError
 from .morphisms import Ideal, RingHom, identity_hom
-from .rings import FiniteRing, induced_ring, ring_closure, shared_ring
+from .rings import FiniteRing, fill_products, induced_ring, ring_closure, shared_ring
 
 __all__ = [
     "DEFAULT_SIZE_BUDGET",
@@ -79,16 +79,16 @@ def _tuple_ring(
     provenance: str,
     structure: tuple,
 ) -> FiniteRing:
-    """The ring on width-tuples over R, added componentwise and multiplied by mul.
-
-    Tuples are indexed lexicographically, as base-|R| digits.
+    """The ring on width-tuples over R, added componentwise; fill_products calls mul
+    only on generator rows.  Tuples are indexed lexicographically, as base-|R| digits.
     """
     _check_budget(R.size**width, what)
     tuples = list(itertools.product(range(R.size), repeat=width))
     index = {t: i for i, t in enumerate(tuples)}
+    add = _componentwise((R.add,) * width)
     return FiniteRing.from_tables(
-        _componentwise((R.add,) * width),
-        [[index[mul(x, y)] for y in tuples] for x in tuples],
+        add,
+        fill_products(add, index[(R.zero,) * width], lambda g: [index[mul(tuples[g], y)] for y in tuples]),
         labels=[label(t) for t in tuples],
         provenance=provenance,
         structure=structure,
@@ -289,7 +289,8 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
 
     The B-part of (a1, f(a1) + j1) * (a2, f(a2) + j2) is f(a1 a2) + f(a1) j2 +
     j1 f(a2) + j1 j2, so the tables are built once per A and key: the sum in
-    J, f(a) j and j f(a), and the product in J, all in J-positions.
+    J, f(a) j and j f(a), and the product in J, all in J-positions.  From
+    them, fill_products needs the closed form only on generator rows.
     """
     if J.host is not f.codomain:
         raise ValueError("ideal must live in the codomain of the homomorphism")
@@ -309,16 +310,15 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
     right = tuple([tuple([jpos[row[fa]] for fa in fmap]) for row in jrows])
     jmul = tuple([tuple([jpos[row[y]] for y in members]) for row in jrows])
 
+    def row(x: int) -> list[int]:
+        # (a1, p) * (a2, q) = (a1 a2, right[p][a2] + left[a1][q] + jmul[p][q])
+        a1, p = divmod(x, nj)
+        lm = [jadd[u][v] for u, v in zip(left[a1], jmul[p])]
+        return [a * nj + jadd[r][s] for a, r in zip(A.mul[a1], right[p]) for s in lm]
+
     def build() -> FiniteRing:
-        add = _componentwise((A.add, jadd))
-        # (a1, p) * (a2, q) = (a1 a2, right[p][a2]) + (0, left[a1][q] + jmul[p][q])
-        z = A.zero * nj
-        mul = []
-        for xs, row_l in zip([[x * nj for x in r] for r in A.mul], left):
-            for row_r, row_m in zip(right, jmul):
-                cols = [z + jadd[x][y] for x, y in zip(row_l, row_m)]
-                mul.append(tuple([row[c] for row in [add[x + r] for x, r in zip(xs, row_r)] for c in cols]))
-        return FiniteRing(n, add, tuple(mul), z + zpos, A.one * nj + zpos)
+        add, zero = _componentwise((A.add, jadd)), A.zero * nj + zpos
+        return FiniteRing(n, add, fill_products(add, zero, row), zero, A.one * nj + zpos)
 
     decode = tuple((a, addB[fmap[a]][j]) for a in range(A.size) for j in members)
     labels = tuple(f"({A.label(a)},{B.label(b)})" for a, b in decode)

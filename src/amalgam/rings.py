@@ -21,6 +21,7 @@ __all__ = [
     "AxiomViolation",
     "FiniteRing",
     "verify_axioms",
+    "fill_products",
     "ring_memo",
     "clear_caches",
     "shared_ring",
@@ -94,8 +95,8 @@ def verify_axioms(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) ->
 
 
 def _add_generators(add: Sequence[Sequence[int]]) -> list[int]:
-    """A generating set of the magma (R, +), for a commutative add: each
-    generator is the least element outside the closure of those before it."""
+    """Greedy generators of (R, +) for a commutative add, used by the axiom proof and
+    by fill_products: each is the least element outside the closure of those before it."""
     inside = [False] * len(add)
     members: list[int] = []
     gens = []
@@ -105,9 +106,9 @@ def _add_generators(add: Sequence[Sequence[int]]) -> list[int]:
         gens.append(g)
         inside[g] = True
         members.append(g)
-        # Every sum of two members is taken once, when the later one is reached.
+        # Each sum of two members is taken once, when the later is reached, until all are inside.
         i = len(members) - 1
-        while i < len(members):
+        while i < len(members) < len(add):
             row = add[members[i]]
             for y in members[: i + 1]:
                 z = row[y]
@@ -116,6 +117,23 @@ def _add_generators(add: Sequence[Sequence[int]]) -> list[int]:
                     members.append(z)
             i += 1
     return gens
+
+
+def fill_products(add: Sequence[Sequence[int]], zero: int, row: Callable[[int], Sequence[int]]) -> tuple:
+    """The product table whose row x is row(x), calling row only on the generators
+    _add_generators picks, in order.  As (x+g)*y = x*y + g*y, a walk from the zero
+    row, one generator at a time, sums each other row from a reached row and a
+    generator row: one read add[g*y][x*y] = x*y + g*y per entry (add commutes)."""
+    gens = [(g, [add[v] for v in row(g)]) for g in _add_generators(add)]
+    reached, rows = [zero], [None] * len(add)
+    rows[zero] = (zero,) * len(add)
+    for g, sums in gens:
+        for x in reached:
+            z = add[x][g]
+            if rows[z] is None:
+                rows[z] = tuple([s[u] for s, u in zip(sums, rows[x])])
+                reached.append(z)
+    return tuple(rows)
 
 
 def _additive(

@@ -159,6 +159,30 @@ def test_scenario_rings_match_their_definition(small_scenarios):
                 assert members[F.mul[x][y]] == B.mul[bx][by]
 
 
+def test_coordinate_rings_at_the_size_budget_match_their_definition():
+    """All 65,536 products of the 256-element rings matrix_ring(zmod(4), 2)
+    and poly_quotient(zmod(2), 8), each index read as its base-|R| digits:
+    the 2x2 matrix product mod 4 and the convolution mod 2 truncated at t^8."""
+
+    def digits(x: int, base: int, width: int) -> tuple[int, ...]:
+        return tuple(x // base ** (width - 1 - i) % base for i in range(width))
+
+    M = matrix_ring(zmod(4), 2)
+    entries = [digits(x, 4, 4) for x in range(M.size)]
+    for (a, b, c, d), row in zip(entries, M.mul):
+        expected = [
+            ((a * e + b * g) % 4, (a * f + b * h) % 4, (c * e + d * g) % 4, (c * f + d * h) % 4)
+            for e, f, g, h in entries
+        ]
+        assert [entries[z] for z in row] == expected
+    P = poly_quotient(zmod(2), 8)
+    coeffs = [digits(x, 2, 8) for x in range(P.size)]
+    for p, row in zip(coeffs, P.mul):
+        expected = [tuple(sum(p[i] * q[k - i] for i in range(k + 1)) % 2 for k in range(8)) for q in coeffs]
+        assert [coeffs[z] for z in row] == expected
+    assert M.size == P.size == 256
+
+
 def test_equal_keys_share_tables_until_clear_caches(z4):
     """zmod(4) joined with (2) along the identity and along x -> (x, x mod 2)
     into zmod(4) x zmod(2): f(A) acts on J alike, so the tables are one

@@ -12,6 +12,7 @@ from amalgam.rings import (
     FiniteRing,
     Law,
     central_idempotents,
+    fill_products,
     is_commutative,
     is_nilpotent,
     is_reduced,
@@ -24,7 +25,7 @@ from amalgam.rings import (
     units,
     verify_axioms,
 )
-from amalgam.rings import _scan_laws
+from amalgam.rings import _add_generators, _scan_laws
 
 
 def test_zmod_shape(z4):
@@ -98,6 +99,22 @@ def test_units_by_row_are_the_two_sided_units(small_rings):
     test of units() finds exactly the elements is_unit accepts."""
     for R in small_rings:
         assert units(R) == {x for x in range(R.size) if is_unit(R, x)}, R
+
+
+def test_fill_products_rebuilds_each_table_from_its_generator_rows(small_rings):
+    """Summing rows from the zero row gives back every product table, the
+    non-commutative upper and matrix rings included, and asks row() only for
+    the additive generators, in their order."""
+    assert len(small_rings) == 128
+    for R in small_rings:
+        asked = []
+
+        def row(x):
+            asked.append(x)
+            return R.mul[x]
+
+        assert fill_products(R.add, R.zero, row) == R.mul, R
+        assert asked == _add_generators(R.add), R
 
 
 def test_commutativity_flags(z4, t2, m2):
