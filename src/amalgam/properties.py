@@ -9,6 +9,7 @@ exact and carries a re-validated witness.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
@@ -22,6 +23,7 @@ from .rings import (
     _stored,
     central_idempotents,
     clear_caches,
+    is_commutative,
     is_nilpotent,
     is_reduced,
     is_semicommutative_ring,
@@ -184,13 +186,14 @@ class PropertyReport:
     this measures effort, not the number of annihilating pairs that exist.
     It counts the walk after the lex-leader cuts (_lex_leader_cut: f's first
     nonzero coefficient a_k least in its unit orbit and at most f's last
-    coefficient, since unit multiples, reversal and division by x map
-    violating pairs to violating pairs).  It is the node count of R's own
-    direct scan, 0 when a shortcut (nil ideal, factor split) confirmed the
-    verdict, and is excluded from reports that must be byte-identical
-    across worker configurations.  A REFUTED report always takes its witness
-    from R's own scan.  A report is a fact about a table: rings with equal
-    tables share one.
+    coefficient, and f <= g on a commutative ring, since unit multiples,
+    reversal, division by x and there the swap (g, f) map violating pairs
+    to violating pairs).  It is the node count of R's own direct scan, 0
+    when a shortcut (nil ideal, factor split) confirmed the verdict, and is
+    excluded from reports that must be byte-identical across worker
+    configurations.  A REFUTED report always takes its witness from R's own
+    scan.  A report is a fact about a table: rings with equal tables share
+    one.
     """
 
     kind: PropertyKind
@@ -346,8 +349,8 @@ def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int]:
 
 def _lex_leader_cut(
     R: FiniteRing, sc: frozenset, sv: frozenset, close: list
-) -> tuple[Iterator[tuple[int, tuple[int, ...]]], tuple[int, ...], list]:
-    """What the scans walk, as (heads, leads, tails).
+) -> tuple[Iterator[tuple[int, tuple[int, ...]]], tuple[int, ...], list, bool]:
+    """What the scans walk, as (heads, leads, tails, swap).
 
     leads are the values f's first nonzero coefficient a_k takes: the least
     element of each unit orbit, ascending (zero is an orbit of its own).
@@ -357,7 +360,10 @@ def _lex_leader_cut(
     in leads with the b0 it walks, the set bits of close[a0] (the b with
     a0*b in sc), as each scan reaches it; when sc and sv are both {0} the b0
     are cut to leads, and so is each later b_k short of the last whose
-    predecessors are all zero, which leaves the same level.
+    predecessors are all zero, which leaves the same level.  swap says
+    whether R is commutative; then the scans walk only g >= f: b0 starts at
+    a0, each later b_k at a_k while g ties f, and on the last coefficient
+    the mask keeps the bits >= a_d.
 
     Three maps send a violating pair (f, g) to a violating pair: (f*u,
     u^-1*g) for a unit u keeps every product coefficient and cross product;
@@ -369,10 +375,13 @@ def _lex_leader_cut(
     a_k least in its orbit.  When both sets are {0}, (f, g*u) multiplies
     every product coefficient and cross product on the right by a unit,
     which keeps zero and nonzero apart, so g's first nonzero coefficient is
-    least in its orbit too.  The cut walk keeps its lex order, so it finds
-    the first witness of the full walk.  g's last coefficient is not cut:
-    the unrolled scans already take its lowest valid bit.  Disabling every
-    cut means replacing this one function.
+    least in its orbit too.  On a commutative ring a fourth map, the swap
+    (g, f), keeps the product coefficients (gf = fg) and the cross products
+    (b_j*a_i = a_i*b_j), so the lex-first violation has f <= g.  The cut
+    walk keeps its lex order, so it finds the first witness of the full
+    walk.  The level of g's last coefficient is never cut, only masked: the
+    unrolled scans take its lowest valid bit, and every scan counts it
+    whole.  Disabling every cut means replacing this one function.
     """
     reps, rep_mask = _unit_orbit_reps(R)
     n, zero = R.size, R.zero
@@ -380,7 +389,7 @@ def _lex_leader_cut(
     tails[zero] = reps
     cut = rep_mask if sc == sv == {zero} else -1
     heads = ((a0, _bits(close[a0] & cut)) for a0 in reps)
-    return heads, reps, tails
+    return heads, reps, tails, is_commutative(R)
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +426,8 @@ def _scan_block_generic(
     visited.  Its bad masks come from their definition, not from _Tables,
     so it checks the unrolled scans' masks independently.  It walks only the
     f and g coefficients that _lex_leader_cut keeps, as the unrolled scans
-    do.
+    do; tied says g's coefficients so far equal f's, which the swap cut
+    needs.
     """
     n = R.size
     tables = _Tables(R, sc, sv)
@@ -428,20 +438,23 @@ def _scan_block_generic(
     g = [0] * (d + 1)
     pend = [zero] * (2 * d + 1)
     state = {"nodes": 0, "fbad": 0, "level0": (), "cand0": []}
-    heads, leads, tails = _lex_leader_cut(R, sc, sv, tables.close)
+    heads, leads, tails, swap = _lex_leader_cut(R, sc, sv, tables.close)
     lead_set = set(leads)
 
-    def descend(k: int, flag: int, g_zero: bool) -> bool:
+    def descend(k: int, flag: int, g_zero: bool, tied: bool) -> bool:
         fbad = state["fbad"]
         last = k == d
         # with b_0..b_{k-1} zero, pend[k] is zero and the cut level is level0
         level = state["level0"] if not k or (g_zero and not last) else state["cand0"][pend[k]]
+        low = f[k] if tied else 0
+        if not last:
+            level = level[bisect_left(level, low) :]
         state["nodes"] += len(level)
         if node_budget is not None and state["nodes"] > node_budget:
             raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
         for b in level:
             nf = flag | ((fbad >> b) & 1)
-            if last and not nf:
+            if last and (not nf or b < low):
                 continue
             g[k] = b
             if d:
@@ -458,7 +471,7 @@ def _scan_block_generic(
                     if d:
                         pend[k + 1 : k + d + 1] = saved
                     return True
-            elif descend(k + 1, nf, g_zero and b == zero):
+            elif descend(k + 1, nf, g_zero and b == zero, tied and b == f[k]):
                 if d:
                     pend[k + 1 : k + d + 1] = saved
                 return True
@@ -483,7 +496,7 @@ def _scan_block_generic(
                 continue
             f[:] = fc
             state["fbad"] = fb
-            if descend(0, 0, True):
+            if descend(0, 0, True, swap):
                 return _first_bad_product(mul, sv, tuple(f), tuple(g)), state["nodes"]
     return None, state["nodes"]
 
@@ -501,16 +514,19 @@ def _scan_block_d1(
     mask[a0][a1*b0] & close[a1], narrowed to fbad unless b0 already makes
     the leaf bad, and the lowest set bit is the lex-first witness.  nodes
     still adds the whole candidate level, so the count is the generic one.
-    Only the rows of the heads the walk reaches are built.
+    Only the rows of the heads the walk reaches are built.  On a commutative
+    ring b0 starts at a0, and when b0 = a0 (tie0) the mask keeps b1 >= a1.
     """
     tables = _Tables(R, sc, sv)
     close, bad = tables.close, tables.bad
-    heads, _, tails = _lex_leader_cut(R, sc, sv, close)
+    heads, _, tails, swap = _lex_leader_cut(R, sc, sv, close)
     mul = R.mul
     nodes = 0
     for a0, level0 in heads:
         fb0 = bad[a0]
         cand0, mask0 = tables.row(a0)
+        tie0 = a0 if swap else -1
+        level0 = level0[bisect_left(level0, tie0) :]
         for a1 in tails[a0]:
             fbad = fb0 | bad[a1]
             if fbad == 0:
@@ -526,6 +542,8 @@ def _scan_block_d1(
                 m = mask0[p1] & close1
                 if not (fbad >> b0) & 1:
                     m &= fbad
+                if b0 == tie0:
+                    m &= -1 << a1
                 if m:
                     b1 = (m & -m).bit_length() - 1
                     return _first_bad_product(mul, sv, (a0, a1), (b0, b1)), nodes
@@ -543,12 +561,14 @@ def _scan_block_d2(
     As in _scan_block_d1, g's last coefficient is the lowest set bit of
     mask[a0][a1*b1 + a2*b0] & mask[a1][a2*b1] & close[a2], narrowed to
     fbad unless b0 or b1 already makes the leaf bad.  With b0 = 0, b1's
-    level cand[a0][0] is the level of b0, cut the same way.  A row is built
-    when the walk first reads it, with no call on later reads.
+    level cand[a0][0] is the level of b0 before the swap cut, cut the same
+    way.  On a commutative ring b0 starts at a0, b1 at a1 when b0 = a0, and
+    the mask keeps b2 >= a2 when b1 = a1 too (tie1).  A row is built when
+    the walk first reads it, with no call on later reads.
     """
     tables = _Tables(R, sc, sv)
     close, bad, mask = tables.close, tables.bad, tables.mask
-    heads, leads, tails = _lex_leader_cut(R, sc, sv, close)
+    heads, leads, tails, swap = _lex_leader_cut(R, sc, sv, close)
     add, mul = R.add, R.mul
     zero = R.zero
     nodes = 0
@@ -556,6 +576,8 @@ def _scan_block_d2(
     for a0, level0 in heads:
         fb0 = bad[a0]
         cand0, mask0 = tables.row(a0)
+        tie0 = a0 if swap else -1
+        walk0 = level0[bisect_left(level0, tie0) :]
         for a1 in rng if a0 != zero else leads:
             fb01 = fb0 | bad[a1]
             mul1 = mul[a1]
@@ -566,13 +588,17 @@ def _scan_block_d2(
                     continue
                 mul2 = mul[a2]
                 close2 = close[a2]
-                nodes += len(level0)
+                nodes += len(walk0)
                 if node_budget is not None and nodes > node_budget:
                     raise SearchBudgetError(f"annihilating-pair search exceeded {node_budget} nodes")
-                for b0 in level0:
+                for b0 in walk0:
                     flag0 = (fbad >> b0) & 1
                     plus_p2 = add[mul2[b0]]
                     level1 = cand0[mul1[b0]] if b0 != zero else level0
+                    tie1 = -1
+                    if b0 == tie0:
+                        tie1 = a1
+                        level1 = level1[bisect_left(level1, a1) :]
                     nodes += len(level1)
                     for b1 in level1:
                         q2 = plus_p2[mul1[b1]]
@@ -580,6 +606,8 @@ def _scan_block_d2(
                         m = mask0[q2] & mask1[mul2[b1]] & close2
                         if not (flag0 or (fbad >> b1) & 1):
                             m &= fbad
+                        if b1 == tie1:
+                            m &= -1 << a2
                         if m:
                             b2 = (m & -m).bit_length() - 1
                             return (

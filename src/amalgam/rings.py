@@ -554,9 +554,10 @@ def split_by_central_idempotent(R: FiniteRing, e: int) -> tuple[FiniteRing, Fini
 
 
 def is_commutative(R: FiniteRing) -> bool:
+    """Whether x*y = y*x for all x, y: the table equals its transpose.  One
+    memo fact per ring, read by the semicommutative check and the scans."""
     mul = R.mul
-    n = R.size
-    return all(mul[a][b] == mul[b][a] for a in range(n) for b in range(n))
+    return ring_memo(R, "commutative", lambda: list(map(tuple, mul)) == list(zip(*mul)))
 
 
 def semicommutative_scan(

@@ -44,7 +44,7 @@ from amalgam.properties import (
     _search_violation,
     _unit_orbit_reps,
 )
-from amalgam.rings import FiniteRing, induced_ring, is_nilpotent, nilradical
+from amalgam.rings import FiniteRing, induced_ring, is_commutative, is_nilpotent, is_semicommutative_ring, nilradical
 
 
 ORACLE_RINGS_SMALL = [zmod(2), zmod(3), zmod(4), zmod(5), zmod(6), poly_quotient(zmod(2), 2), direct_product(zmod(2), zmod(2))]
@@ -315,11 +315,13 @@ def test_unit_orbit_reps_are_a_transversal(small_rings):
 
 
 def test_orbit_cut_keeps_the_criterion_9_witness_and_walks_less():
-    """The unreduced walk of this check examined 130,800 nodes, and the walk
-    cut by unit orbits alone 74,155."""
+    """The unreduced walk of this check examined 130,800 nodes, the walk
+    cut by unit orbits alone 74,155, the walk with the reversal and
+    leading-zero cuts too 43,010, and the walk with the swap cut too
+    21,163."""
     report = check_armendariz(poly_quotient(zmod(2), 4), 2)
     assert report.verdict is Verdict.HOLDS_UP_TO_BOUND and report.witness is None
-    assert report.pairs_examined < 74_155
+    assert report.pairs_examined < 43_010
 
 
 def _holding_amalgam() -> FiniteRing:
@@ -425,9 +427,9 @@ def test_orbit_cut_scans_find_the_lex_first_witness_of_the_full_walk(small_rings
 
 def _uncut(R: FiniteRing, sc: frozenset, sv: frozenset, close: list):
     """_lex_leader_cut with every cut disabled: every a0 with every b0, every
-    value for a lead coefficient and for f's last coefficient."""
+    value for a lead coefficient and for f's last coefficient, and no swap."""
     n = R.size
-    return [(a, _bits(close[a])) for a in range(n)], tuple(range(n)), [range(n)] * n
+    return [(a, _bits(close[a])) for a in range(n)], tuple(range(n)), [range(n)] * n, False
 
 
 def test_orbit_cut_scans_match_the_uncut_walk(monkeypatch, small_rings):
@@ -458,6 +460,83 @@ def test_orbit_cut_scans_match_the_uncut_walk(monkeypatch, small_rings):
     assert all(shrunk.values()), shrunk
 
 
+def test_commutativity_is_one_memo_fact_held_to_its_definition(monkeypatch, small_rings):
+    """is_commutative agrees with x*y = y*x on every small ring; the
+    semicommutative check and the scans read it as one memo fact, computed
+    once per table.  The fact is a bool, so it pins no ring, and
+    clear_caches forgets it."""
+    computed = []
+    real_memo = properties.ring_memo
+
+    def recording_memo(R, key, compute):
+        if key != "commutative":
+            return real_memo(R, key, compute)
+        return real_memo(R, key, lambda: computed.append(R.digest()) or compute())
+
+    monkeypatch.setattr("amalgam.rings.ring_memo", recording_memo)
+    clear_caches()
+    for R in small_rings:
+        rng = range(R.size)
+        assert is_commutative(R) is all(R.mul[x][y] == R.mul[y][x] for x in rng for y in rng), R.provenance
+        is_semicommutative_ring(R)
+        _scan_block_d1(R, *_kind_sets(R, PropertyKind.ARMENDARIZ), None)
+    assert sorted(computed) == sorted(R.digest() for R in small_rings)
+    monkeypatch.undo()
+    R = direct_product(zmod(2), zmod(4))
+    assert is_commutative(R)
+    digest, ref = R.digest(), weakref.ref(R)
+    assert properties._MEMO[digest]["commutative"] is True
+    del R
+    gc.collect()
+    assert ref() is None
+    clear_caches()
+    assert digest not in properties._MEMO
+
+
+# d = 2 armendariz node counts of full walks, without and with the swap cut
+SWAP_CUT_NODES = {
+    "holding amalgam": (110_312, 60_264),
+    "polyquot(zmod(2),4)": (43_010, 21_163),
+    "product(zmod(4),zmod(4))": (80_198, 42_584),
+}
+
+
+def test_swap_cut_keeps_every_witness_and_acts_only_on_commutative_rings(monkeypatch, small_rings):
+    """At degrees 1 and 2 up to 16 elements, the scans with the swap cut
+    find the witness of the same scans with _lex_leader_cut reporting no
+    ring commutative.  They walk strictly fewer nodes on every commutative
+    ring whose scan walks to the end, and exactly as many on every
+    non-commutative ring, where (g, f) need not violate when (f, g) does."""
+    holding = _holding_amalgam().digest()
+    rings = [R for R in _orbit_test_rings(small_rings) if R.size <= 16]
+    queries = [
+        (d, scan, R, kind, *_kind_sets(R, kind))
+        for d, scan in ((1, _scan_block_d1), (2, _scan_block_d2))
+        for R in rings
+        for kind in POLY_KINDS
+    ]
+    swapped = [scan(R, sc, sv, None) for d, scan, R, kind, sc, sv in queries]
+    real_cut = properties._lex_leader_cut
+    monkeypatch.setattr(properties, "_lex_leader_cut", lambda *args: (*real_cut(*args)[:3], False))
+    full_walks = {True: 0, False: 0}
+    named = {}
+    for (d, scan, R, kind, sc, sv), (wit, nodes) in zip(queries, swapped):
+        want, unswapped = scan(R, sc, sv, None)
+        assert wit == want, (R.provenance, kind, d)
+        commutative = is_commutative(R)
+        if not commutative:
+            assert nodes == unswapped, (R.provenance, kind, d)
+        elif wit is None:
+            assert nodes < unswapped, (R.provenance, kind, d)
+        else:
+            assert nodes <= unswapped, (R.provenance, kind, d)
+        full_walks[commutative] += wit is None
+        if d == 2 and kind is PropertyKind.ARMENDARIZ:
+            named["holding amalgam" if R.digest() == holding else R.provenance] = (unswapped, nodes)
+    assert all(full_walks.values()), full_walks
+    assert {name: named[name] for name in SWAP_CUT_NODES} == SWAP_CUT_NODES
+
+
 def _kind_tests(R: FiniteRing, kind: PropertyKind):
     """Membership in kind's constraint and target sets, from is_nilpotent."""
 
@@ -484,9 +563,15 @@ def _violates(R: FiniteRing, kind: PropertyKind, fc: tuple, gc: tuple) -> bool:
 
 
 T2, M2 = upper_triangular(zmod(2), 2), matrix_ring(zmod(2), 2)
-SYMMETRY_RINGS = [zmod(4), poly_quotient(zmod(2), 2), T2, M2]
+# commutative, 16 elements, armendariz refuted at degree bound 1
+PQ42 = poly_quotient(zmod(4), 2)
+SYMMETRY_RINGS = [zmod(4), poly_quotient(zmod(2), 2), PQ42, T2, M2]
 # the rings and kinds with violating pairs at degree bound 1
-VIOLATED = [(T2, PropertyKind.ARMENDARIZ), *((M2, kind) for kind in sorted(POLY_KINDS, key=lambda k: k.value))]
+VIOLATED = [
+    (T2, PropertyKind.ARMENDARIZ),
+    (PQ42, PropertyKind.ARMENDARIZ),
+    *((M2, kind) for kind in sorted(POLY_KINDS, key=lambda k: k.value)),
+]
 
 
 @functools.cache
@@ -500,9 +585,10 @@ def _violating_pairs(R: FiniteRing, kind: PropertyKind) -> list[tuple[tuple[int,
 def test_violation_is_invariant_under_the_scan_symmetries(data):
     """The maps behind _lex_leader_cut, checked with no scan code: reversing
     both coefficient tuples, f -> f/x when a0 = 0, and (f*u, u^-1*g) for a
-    unit u keep a pair violating or not; for armendariz so does (f, g*u).
-    Half the pairs are drawn from the violating pairs of degree bound 1,
-    the rest are random pairs of degree bound 1 to 3."""
+    unit u keep a pair violating or not; for armendariz so does (f, g*u),
+    and on a commutative ring so does the swap (g, f).  Half the pairs are
+    drawn from the violating pairs of degree bound 1, the rest are random
+    pairs of degree bound 1 to 3."""
     if data.draw(st.booleans(), label="violating"):
         R, kind = data.draw(st.sampled_from(VIOLATED), label="ring and kind")
         fc, gc = data.draw(st.sampled_from(_violating_pairs(R, kind)), label="pair")
@@ -521,6 +607,19 @@ def test_violation_is_invariant_under_the_scan_symmetries(data):
     assert _violates(R, kind, tuple(R.mul[a][u] for a in fc), tuple(R.mul[u_inv][b] for b in gc)) == violates
     if kind is PropertyKind.ARMENDARIZ:
         assert _violates(R, kind, fc, tuple(R.mul[b][u] for b in gc)) == violates
+    if is_commutative(R):
+        assert _violates(R, kind, gc, fc) == violates
+
+
+def test_swap_map_needs_a_commutative_ring():
+    """The degree-1 armendariz witness of t2 has g before f, and its swap
+    does not violate, so the swap cut must stay off non-commutative rings;
+    on the commutative PQ42 the witness of the scan is its own swap."""
+    kind = PropertyKind.ARMENDARIZ
+    assert _violates(T2, kind, (2, 4), (2, 1))
+    assert not _violates(T2, kind, (2, 1), (2, 4))
+    assert check_armendariz(PQ42, 1).witness == PolyWitness((1, 8), (1, 8), 0, 1, 2)
+    assert _violating_pairs(PQ42, kind)[0] == ((1, 8), (1, 8))
 
 
 def test_search_tables_match_their_definition(small_rings):

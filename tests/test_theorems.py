@@ -210,7 +210,7 @@ def test_pooled_run_builds_scenarios_once(monkeypatch):
     assert pooled.to_json() == inline.to_json()
 
 
-@pytest.mark.parametrize("budget, skipped", [(5, 1282), (50, 456), (500, 0)])
+@pytest.mark.parametrize("budget, skipped", [(5, 1134), (50, 456), (500, 0)])
 def test_budgeted_harness_skips_the_same_clauses_for_any_worker_count(budget, skipped):
     """A verdict that runs out of budget in the pool is not filed, so the
     clause asks again under the same budget and is SKIPPED_BUDGET, as in a
