@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import SizeBudgetError
 from .morphisms import Ideal, RingHom, identity_hom
-from .rings import FiniteRing, fill_products, induced_ring, ring_closure, shared_ring
+from .rings import FiniteRing, _add_generators, fill_products, induced_ring, ring_closure, ring_memo, shared_ring
 
 __all__ = [
     "DEFAULT_SIZE_BUDGET",
@@ -88,7 +89,9 @@ def _tuple_ring(
     add = _componentwise((R.add,) * width)
     return FiniteRing.from_tables(
         add,
-        fill_products(add, index[(R.zero,) * width], lambda g: [index[mul(tuples[g], y)] for y in tuples]),
+        fill_products(
+            add, _add_generators(add), index[(R.zero,) * width], lambda g: [index[mul(tuples[g], y)] for y in tuples]
+        ),
         labels=[label(t) for t in tuples],
         provenance=provenance,
         structure=structure,
@@ -231,17 +234,21 @@ class Embedding:
         except ValueError:
             raise ValueError(f"element {host_idx} is not in the subring") from None
 
+    def _host_labels(self) -> tuple[str, ...]:
+        return tuple(self.host.label(x) for x in self.members)
+
 
 def _build_embedding(R: FiniteRing, members: tuple[int, ...], provenance: str) -> Embedding:
     """Re-index a member set that holds R's identity and is closed under the
-    operations; the tables are built once per (R, members) and shared."""
+    operations; the tables are built once per (R, members) and shared, and
+    the labels, R's labels of the members, on their first read."""
 
     def build() -> FiniteRing:
         return induced_ring(R, members, {x: i for i, x in enumerate(members)}, R.one, provenance="", structure=())
 
-    ring = shared_ring(R, ("subring", members), build, tuple(R.label(x) for x in members), provenance)
-    ring.structure = ("subring", R, members)
-    return Embedding(host=R, members=members, ring=ring)
+    emb = Embedding(host=R, members=members, ring=shared_ring(R, ("subring", members), build))
+    emb.ring.labels, emb.ring.provenance, emb.ring.structure = emb._host_labels, provenance, ("subring", R, members)
+    return emb
 
 
 def subring_closure(R: FiniteRing, seed: Iterable[int]) -> Embedding:
@@ -264,13 +271,22 @@ class AmalgamRing:
     """The amalgamation of A with the ideal J along f: pairs (a, f(a) + j).
 
     decode maps each element index to (a, b) with a in A and b = f(a) + j in B;
-    it is the only element map: the j summand is b - f(a).
+    it is the only element map: the j summand is b - f(a).  It is built on
+    its first read, as are the ring's labels, which the harness never reads.
     """
 
     ring: FiniteRing
     hom: RingHom
     ideal: Ideal
-    decode: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def decode(self) -> tuple[tuple[int, int], ...]:
+        addB, fmap = self.target.add, self.hom.map
+        return tuple((a, addB[fmap[a]][j]) for a in range(self.base.size) for j in self.ideal.members)
+
+    def _pair_labels(self) -> tuple[str, ...]:
+        A, B = self.base, self.target
+        return tuple(f"({A.label(a)},{B.label(b)})" for a, b in self.decode)
 
     @property
     def base(self) -> FiniteRing:
@@ -287,10 +303,13 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
     Elements are indexed as a * |J| + (position of j in J.members); the
     second coordinate stored in decode is the full B-part f(a) + j.
 
-    The B-part of (a1, f(a1) + j1) * (a2, f(a2) + j2) is f(a1 a2) + f(a1) j2 +
-    j1 f(a2) + j1 j2, so the tables are built once per A and key: the sum in
-    J, f(a) j and j f(a), and the product in J, all in J-positions.  From
-    them, fill_products needs the closed form only on generator rows.
+    As a group the amalgam is A x J whatever f is, so its add table and that
+    table's generators are one fact of A, keyed by the sum table of J in
+    J-positions, and shared by every amalgam with that key.  The B-part of
+    (a1, f(a1) + j1) * (a2, f(a2) + j2) is f(a1 a2) + f(a1) j2 + j1 f(a2) +
+    j1 j2, so the product table is built once per A and key: that sum table,
+    f(a) j and j f(a), and the product in J.  From them, fill_products needs
+    the closed form only on generator rows.
     """
     if J.host is not f.codomain:
         raise ValueError("ideal must live in the codomain of the homomorphism")
@@ -316,16 +335,19 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
         lm = [jadd[u][v] for u, v in zip(left[a1], jmul[p])]
         return [a * nj + jadd[r][s] for a, r in zip(A.mul[a1], right[p]) for s in lm]
 
-    def build() -> FiniteRing:
-        add, zero = _componentwise((A.add, jadd)), A.zero * nj + zpos
-        return FiniteRing(n, add, fill_products(add, zero, row), zero, A.one * nj + zpos)
+    def additive() -> tuple[tuple, list[int]]:
+        add = _componentwise((A.add, jadd))
+        return add, _add_generators(add)
 
-    decode = tuple((a, addB[fmap[a]][j]) for a in range(A.size) for j in members)
-    labels = tuple(f"({A.label(a)},{B.label(b)})" for a, b in decode)
-    provenance = f"amalgam({A.provenance}, {B.provenance}, |J|={nj})"
-    ring = shared_ring(A, ("amalgam", zpos, jadd, left, right, jmul), build, labels, provenance)
-    am = AmalgamRing(ring=ring, hom=f, ideal=J, decode=decode)
-    ring.structure = ("amalgam", am)
+    def build() -> FiniteRing:
+        add, gens = ring_memo(A, ("amalgam add", jadd), additive)
+        zero = A.zero * nj + zpos
+        return FiniteRing(n, add, fill_products(add, gens, zero, row), zero, A.one * nj + zpos)
+
+    ring = shared_ring(A, ("amalgam", zpos, jadd, left, right, jmul), build)
+    am = AmalgamRing(ring=ring, hom=f, ideal=J)
+    ring.labels, ring.structure = am._pair_labels, ("amalgam", am)
+    ring.provenance = f"amalgam({A.provenance}, {B.provenance}, |J|={nj})"
     return am
 
 

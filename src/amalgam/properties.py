@@ -232,7 +232,7 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     def compute() -> tuple[FiniteRing, ...]:
         idems = central_idempotents(R)
         if not idems:
-            return (FiniteRing(R.size, R.add, R.mul, R.zero, R.one),)
+            return (R.bare(),)
         left, right = split_by_central_idempotent(R, idems[0])
         return _indecomposable_factors(left) + _indecomposable_factors(right)
 

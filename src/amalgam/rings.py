@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
@@ -119,12 +119,15 @@ def _add_generators(add: Sequence[Sequence[int]]) -> list[int]:
     return gens
 
 
-def fill_products(add: Sequence[Sequence[int]], zero: int, row: Callable[[int], Sequence[int]]) -> tuple:
-    """The product table whose row x is row(x), calling row only on the generators
-    _add_generators picks, in order.  As (x+g)*y = x*y + g*y, a walk from the zero
-    row, one generator at a time, sums each other row from a reached row and a
-    generator row: one read add[g*y][x*y] = x*y + g*y per entry (add commutes)."""
-    gens = [(g, [add[v] for v in row(g)]) for g in _add_generators(add)]
+def fill_products(
+    add: Sequence[Sequence[int]], gens: Sequence[int], zero: int, row: Callable[[int], Sequence[int]]
+) -> tuple:
+    """The product table whose row x is row(x), calling row only on gens, the
+    generators _add_generators(add) picks, in order.  As (x+g)*y = x*y + g*y, a
+    walk from the zero row, one generator at a time, sums each other row from a
+    reached row and a generator row: one read add[g*y][x*y] = x*y + g*y per
+    entry (add commutes)."""
+    gens = [(g, [add[v] for v in row(g)]) for g in gens]
     reached, rows = [zero], [None] * len(add)
     rows[zero] = (zero,) * len(add)
     for g, sums in gens:
@@ -241,28 +244,40 @@ def _find_mul_identity(mul: Sequence[Sequence[int]]) -> Optional[int]:
     return None
 
 
-@dataclass(eq=False)
 class FiniteRing:
     """A finite unital ring; immutable after construction.
 
     Do not mutate the tables.  Equality is object identity; structural
-    comparison goes through digest().
+    comparison goes through digest().  labels may be given as a zero-argument
+    callable, which the first read of labels calls and replaces by its tuple,
+    so a ring whose labels are never read never formats them.
     """
 
-    size: int
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    zero: int
-    one: int
-    labels: Optional[tuple[str, ...]] = None
-    provenance: str = "table"
-    structure: Optional[tuple] = None
-    neg: tuple[int, ...] = field(init=False, repr=False)
-    _digest: Optional[str] = field(default=None, init=False, repr=False)
+    def __init__(
+        self,
+        size: int,
+        add: tuple[tuple[int, ...], ...],
+        mul: tuple[tuple[int, ...], ...],
+        zero: int,
+        one: int,
+        labels: Optional[tuple[str, ...] | Callable[[], tuple[str, ...]]] = None,
+        provenance: str = "table",
+        structure: Optional[tuple] = None,
+    ) -> None:
+        self.size, self.add, self.mul, self.zero, self.one = size, add, mul, zero, one
+        self.labels, self.provenance, self.structure = labels, provenance, structure
+        self.neg = tuple(add[x].index(zero) for x in range(size))
+        self._digest: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        zero = self.zero
-        self.neg = tuple(self.add[x].index(zero) for x in range(self.size))
+    @property
+    def labels(self) -> Optional[tuple[str, ...]]:
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
+
+    @labels.setter
+    def labels(self, labels: Optional[tuple[str, ...] | Callable[[], tuple[str, ...]]]) -> None:
+        self._labels = labels
 
     @classmethod
     def from_tables(
@@ -295,9 +310,18 @@ class FiniteRing:
         )
 
     def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
+        # Constructors call this per element, so it skips the property once labels are built.
+        labels = self._labels
+        if callable(labels):
+            labels = self.labels
+        return str(x) if labels is None else labels[x]
+
+    def bare(self) -> "FiniteRing":
+        """A copy with the same tables, neg and digest, and no labels,
+        provenance or structure."""
+        ring = copy.copy(self)
+        ring.labels, ring.provenance, ring.structure = None, "table", None
+        return ring
 
     def digest(self) -> str:
         """Structural fingerprint of (size, tables, zero, one); stable across runs."""
@@ -355,21 +379,17 @@ def clear_caches() -> None:
     _MEMO.clear()
 
 
-def shared_ring(
-    owner: FiniteRing, key: Hashable, build: Callable[[], FiniteRing], labels: tuple[str, ...], provenance: str
-) -> FiniteRing:
-    """The ring build() makes, under the given labels and provenance; its
-    structure is the caller's to set.
+def shared_ring(owner: FiniteRing, key: Hashable, build: Callable[[], FiniteRing]) -> FiniteRing:
+    """A copy of the ring build() makes; its labels, provenance and structure
+    are the caller's to set.
 
     build() must depend only on owner's tables and key: its ring is stored as
-    owner's fact named key, and every ring returned for that fact shares its
-    add, mul and neg tuples and its digest.
+    owner's fact named key, and every copy made for that fact shares its add,
+    mul and neg tuples and its digest.
     """
     template = ring_memo(owner, key, build)
     template.digest()
-    ring = copy.copy(template)
-    ring.labels, ring.provenance = labels, provenance
-    return ring
+    return copy.copy(template)
 
 
 def induced_ring(

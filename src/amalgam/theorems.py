@@ -573,7 +573,7 @@ def run_harness(config: Optional[CorpusConfig] = None, *, degree: int = 2, worke
         corpus, scenarios = build_scenarios(config)
         distinct = {R.digest(): R for sc in scenarios for R in (sc.base, sc.am.ring, sc.faj.ring)}
         tables = sorted(distinct.values(), key=lambda R: -R.size)
-        bare = (FiniteRing(R.size, R.add, R.mul, R.zero, R.one) for R in tables)
+        bare = (R.bare() for R in tables)
         job = partial(poly_verdicts, d=degree, node_budget=config.node_budget)
         for R, vs in zip(tables, pool.imap(job, bare, 16) if pool else map(job, bare)):
             file_poly_verdicts(R, degree, vs)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from amalgam import rings
 from amalgam.constructions import (
     AmalgamRing,
+    Embedding,
     amalgamation,
     direct_product,
     duplication,
@@ -24,6 +25,7 @@ from amalgam.isos import check_canonical_isos
 from amalgam.morphisms import Ideal, RingHom, enumerate_homs, enumerate_ideals, generated_ideal, identity_hom
 from amalgam.properties import clear_caches
 from amalgam.rings import FiniteRing, central_idempotents, is_commutative, split_by_central_idempotent, verify_axioms
+from amalgam.theorems import CorpusConfig, build_scenarios
 
 
 def test_zmod_rejects_degenerate_sizes():
@@ -207,6 +209,46 @@ def test_equal_keys_share_tables_until_clear_caches(z4):
     assert rings._MEMO == {}
     again = duplication(z4, generated_ideal(z4, [2]))
     assert again.ring.mul is not one.ring.mul and again.ring.mul == one.ring.mul
+
+
+def test_amalgams_with_one_sum_table_in_j_share_their_add_table(z4, small_scenarios):
+    """As a group the amalgam is A x J whatever f is.  zmod(4) joined with
+    (2) along the identity and with {(0,0),(0,1)} along x -> (x mod 2, x mod 2)
+    into zmod(2) x zmod(2): J adds alike but multiplies apart, so the add
+    tables are one object and the mul tables differ."""
+    clear_caches()
+    B = direct_product(zmod(2), zmod(2))
+    one = duplication(z4, generated_ideal(z4, [2]))
+    two = amalgamation(RingHom(z4, B, tuple(3 * (x % 2) for x in range(4))), generated_ideal(B, [1]))
+    assert one.ring.add is two.ring.add and one.ring.mul != two.ring.mul
+    clear_caches()
+    again = duplication(z4, generated_ideal(z4, [2]))
+    assert again.ring.add is not one.ring.add and again.ring.add == one.ring.add
+    keys = set()
+    for sc in small_scenarios:
+        T, members = sc.target, sc.ideal.members
+        jadd = tuple(tuple(members.index(T.add[x][y]) for y in members) for x in members)
+        keys.add((sc.base.digest(), jadd))
+    assert len({id(sc.am.ring.add) for sc in small_scenarios}) == len(keys) == 47
+
+
+def test_decode_and_labels_are_built_on_first_read(monkeypatch):
+    """Building the scenarios formats no label of an amalgam or f(A) + J and
+    builds no decode; the first read of each gives the eager definition."""
+    built = []
+    for cls, name in ((AmalgamRing, "_pair_labels"), (Embedding, "_host_labels")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, real=real: built.append(self) or real(self))
+    scenarios = build_scenarios(CorpusConfig(max_amalgam_size=16))[1]
+    assert built == [] and not any("decode" in vars(sc.am) for sc in scenarios)
+    for sc in scenarios:
+        A, B, fmap, members = sc.base, sc.target, sc.hom.map, sc.ideal.members
+        for idx, (a, b) in enumerate(sc.am.decode):
+            assert B.sub(b, fmap[a]) == members[idx % len(members)] and a == idx // len(members)
+        R, F = sc.am.ring, sc.faj.ring
+        assert R.labels == tuple(f"({A.label(a)},{B.label(b)})" for a, b in sc.am.decode) and R.labels is R.labels
+        assert F.labels == tuple(B.label(x) for x in sc.faj.members) and F.labels is F.labels
+    assert len(built) == 2 * len(scenarios) == 3238
 
 
 def test_amalgam_requires_proper_ideal(z4):

@@ -113,8 +113,9 @@ def test_fill_products_rebuilds_each_table_from_its_generator_rows(small_rings):
             asked.append(x)
             return R.mul[x]
 
-        assert fill_products(R.add, R.zero, row) == R.mul, R
-        assert asked == _add_generators(R.add), R
+        gens = _add_generators(R.add)
+        assert fill_products(R.add, gens, R.zero, row) == R.mul, R
+        assert asked == gens, R
 
 
 def test_commutativity_flags(z4, t2, m2):

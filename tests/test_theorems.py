@@ -210,11 +210,13 @@ def test_pooled_run_builds_scenarios_once(monkeypatch):
     assert pooled.to_json() == inline.to_json()
 
 
-@pytest.mark.parametrize("budget, skipped", [(5, 1134), (50, 456), (500, 0)])
-def test_budgeted_harness_skips_the_same_clauses_for_any_worker_count(budget, skipped):
+@pytest.mark.parametrize("budget", [5, 50, 500])
+def test_budgeted_harness_skips_the_same_clauses_for_any_worker_count(budget):
     """A verdict that runs out of budget in the pool is not filed, so the
     clause asks again under the same budget and is SKIPPED_BUDGET, as in a
-    single-process run."""
+    single-process run.  The skip counts move with any change to a scan's
+    node count, so they are asserted here rather than named in the test id."""
+    skipped = {5: 1134, 50: 456, 500: 0}[budget]
     config = CorpusConfig(max_amalgam_size=8, node_budget=budget)
     reports = []
     for workers in (1, 2):
