@@ -41,7 +41,6 @@ class RunOptions:
     """Knobs shared by every subcommand."""
 
     degree: Optional[int] = None
-    threads: int = 1
     max_ring_size: Optional[int] = None
     revalidate: bool = False
 
@@ -128,7 +127,7 @@ def _harness_config(opts: RunOptions) -> CorpusConfig:
 def _run_harness(stmt: HarnessDirective, opts: RunOptions, outcome: _Outcome, emit: Callable[[str], None]) -> None:
     degree = _degree(stmt, opts)
     config = _harness_config(opts)
-    report = run_harness(config, degree=degree, workers=opts.threads)
+    report = run_harness(config, degree=degree)
     emit(f"harness degree {degree}: {report.scenario_count} scenarios, {len(report.ring_names)} corpus rings")
     for summary in report.summaries:
         status = "ok"
@@ -255,7 +254,6 @@ def _write_json(path: Optional[str], envelope: dict) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--degree", type=int, default=None, help="polynomial degree bound for property checks")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for harness runs")
     parser.add_argument("--max-ring-size", type=int, default=None, help="cap on constructed ring sizes")
     parser.add_argument("--json", dest="json_path", metavar="PATH", default=None, help="write a machine-readable report (- for stdout)")
     parser.add_argument("--revalidate", action="store_true", help="independently re-check every refutation witness")
@@ -264,7 +262,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _options_from_args(args: argparse.Namespace) -> RunOptions:
     return RunOptions(
         degree=args.degree,
-        threads=args.threads,
         max_ring_size=args.max_ring_size,
         revalidate=args.revalidate,
     )
@@ -301,9 +298,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if value is not None and value < 0:
             print(f"--{flag.replace('_', '-')} must be non-negative, got {value}", file=sys.stderr)
             return EXIT_FAILURE
-    if args.threads < 1:
-        print(f"--threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return EXIT_FAILURE
     opts = _options_from_args(args)
 
     if args.command == "run":

@@ -53,8 +53,6 @@ __all__ = [
     "property_profile",
     "get_report",
     "holds",
-    "poly_verdicts",
-    "file_poly_verdicts",
     "ring_memo",
     "nil_set",
     "clear_caches",
@@ -190,10 +188,9 @@ class PropertyReport:
     reversal, division by x and there the swap (g, f) map violating pairs
     to violating pairs).  It is the node count of R's own direct scan, 0
     when a shortcut (nil ideal, factor split) confirmed the verdict, and is
-    excluded from reports that must be byte-identical across worker
-    configurations.  A REFUTED report always takes its witness from R's own
-    scan.  A report is a fact about a table: rings with equal tables share
-    one.
+    in neither the harness report nor the check envelopes.  A REFUTED report
+    always takes its witness from R's own scan.  A report is a fact about a
+    table: rings with equal tables share one.
     """
 
     kind: PropertyKind
@@ -225,7 +222,8 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     """Split R along central idempotents until no factor splits further.
 
     Always splits at the smallest nontrivial central idempotent, so the factor
-    list is canonical for a given table.  The factors are bare tables, with
+    list is canonical for a given table.  R's bare copy is split, so no
+    verdict query formats R's labels, and the factors are bare tables, with
     no labels or structure, so the memo never keeps R alive.
     """
 
@@ -233,7 +231,7 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
         idems = central_idempotents(R)
         if not idems:
             return (R.bare(),)
-        left, right = split_by_central_idempotent(R, idems[0])
+        left, right = split_by_central_idempotent(R.bare(), idems[0])
         return _indecomposable_factors(left) + _indecomposable_factors(right)
 
     return ring_memo(R, "factors", compute)
@@ -827,26 +825,6 @@ def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_bu
         return get_report(R, kind, d, node_budget=node_budget).holds
 
     return ring_memo(R, key, compute)
-
-
-def poly_verdicts(R: FiniteRing, d: int, node_budget: Optional[int] = None) -> tuple[Optional[bool], ...]:
-    """holds(R, kind, d) for each of POLY_KINDS, None where the search ran out
-    of node_budget.  Module-level, so a process pool can map it."""
-    out = []
-    for kind in POLY_KINDS:
-        try:
-            out.append(holds(R, kind, d, node_budget=node_budget))
-        except SearchBudgetError:
-            out.append(None)
-    return tuple(out)
-
-
-def file_poly_verdicts(R: FiniteRing, d: int, verdicts: tuple[Optional[bool], ...]) -> None:
-    """File poly_verdicts(R, d) where holds(R, kind, d) reads it; a None is
-    not filed, so holds searches again and runs out of the same budget."""
-    for kind, verdict in zip(POLY_KINDS, verdicts):
-        if verdict is not None:
-            ring_memo(R, ("holds", kind, d), lambda v=verdict: v)
 
 
 @dataclass(frozen=True)

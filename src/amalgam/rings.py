@@ -318,7 +318,8 @@ class FiniteRing:
 
     def bare(self) -> "FiniteRing":
         """A copy with the same tables, neg and digest, and no labels,
-        provenance or structure."""
+        provenance or structure.  The factor split works on bare copies, so a
+        verdict query never formats labels and no memo fact pins the ring."""
         ring = copy.copy(self)
         ring.labels, ring.provenance, ring.structure = None, "table", None
         return ring

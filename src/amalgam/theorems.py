@@ -12,11 +12,8 @@ aggregates per-clause tallies into a deterministic report.
 from __future__ import annotations
 
 import json
-import multiprocessing
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable, Optional
 
 from .constructions import amalgamation, direct_product, f_plus_j, matrix_ring, poly_quotient, upper_triangular, zmod
@@ -30,7 +27,7 @@ from .morphisms import (
     is_semicommutative_ideal,
     preimage_ideal,
 )
-from .properties import PropertyKind, file_poly_verdicts, get_report, holds, nil_set, poly_verdicts
+from .properties import PropertyKind, get_report, holds, nil_set
 from .rings import FiniteRing, regular_central, ring_memo
 
 __all__ = [
@@ -497,8 +494,7 @@ class ClauseSummary:
 class HarnessReport:
     """Per-clause tallies over one corpus run, and nothing about how it ran.
 
-    The tallies are folded in scenario order, so the report is the same for
-    any worker count.
+    The tallies are folded in scenario order.
     """
 
     degree: int
@@ -555,10 +551,10 @@ class HarnessReport:
 def run_harness(config: Optional[CorpusConfig] = None, *, degree: int = 2, workers: int = 1) -> HarnessReport:
     """Evaluate every clause on every scenario and aggregate the tallies.
 
-    poly_verdicts is mapped over bare copies of the distinct base, amalgam
-    and f(A) + J tables, largest first, in a pool when workers > 1; the
-    clauses then run here, in scenario order, so the report is the same for
-    any worker count.
+    The clauses run in scenario order, in this process.  Each asks holds
+    for the verdicts it needs, and the ring memo keeps every decided verdict
+    by table, so only a search that ran out of node_budget runs again.
+    workers must be at least 1 and does not change how the run proceeds.
     """
     if degree < 0:
         raise ValueError("degree bound must be non-negative")
@@ -566,18 +562,7 @@ def run_harness(config: Optional[CorpusConfig] = None, *, degree: int = 2, worke
         raise ValueError("worker count must be at least 1")
     config = config or CorpusConfig()
     registry = clause_registry()
-    # The pool starts before the scenarios exist, so its forked workers hold
-    # only the tables they are sent.  Chunks of 16 amortise the round trip of
-    # millisecond verdicts; largest first, the last chunks are the cheapest.
-    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
-        corpus, scenarios = build_scenarios(config)
-        distinct = {R.digest(): R for sc in scenarios for R in (sc.base, sc.am.ring, sc.faj.ring)}
-        tables = sorted(distinct.values(), key=lambda R: -R.size)
-        bare = (R.bare() for R in tables)
-        job = partial(poly_verdicts, d=degree, node_budget=config.node_budget)
-        for R, vs in zip(tables, pool.imap(job, bare, 16) if pool else map(job, bare)):
-            file_poly_verdicts(R, degree, vs)
-
+    corpus, scenarios = build_scenarios(config)
     summaries = {c.clause_id: ClauseSummary(c.clause_id, c.summary, c.shape) for c in registry}
     for scenario in scenarios:
         for o in evaluate_scenario(scenario, registry, degree):

@@ -98,17 +98,6 @@ def test_negative_max_size_flag_is_rejected(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-@pytest.mark.parametrize(
-    "argv", [["check", "zmod 4", "armendariz"], ["harness", "--degree", "1", "--max-ring-size", "4"], ["search", "weak-not-nil"]]
-)
-def test_threads_below_one_is_rejected(argv, threads, capsys):
-    assert main(argv + ["--threads", threads]) == EXIT_FAILURE
-    captured = capsys.readouterr()
-    assert f"--threads must be at least 1, got {threads}" in captured.err
-    assert captured.out == ""
-
-
 def test_negative_degree_in_spec_is_a_diagnostic(tmp_path, capsys):
     path = tmp_path / "neg.spec"
     path.write_text("ring A = zmod 4\ncheck A armendariz degree -1\n")

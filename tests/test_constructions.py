@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+import amalgam.theorems as theorems
 from amalgam import rings
 from amalgam.constructions import (
     AmalgamRing,
@@ -25,7 +26,7 @@ from amalgam.isos import check_canonical_isos
 from amalgam.morphisms import Ideal, RingHom, enumerate_homs, enumerate_ideals, generated_ideal, identity_hom
 from amalgam.properties import clear_caches
 from amalgam.rings import FiniteRing, central_idempotents, is_commutative, split_by_central_idempotent, verify_axioms
-from amalgam.theorems import CorpusConfig, build_scenarios
+from amalgam.theorems import CorpusConfig, build_scenarios, run_harness
 
 
 def test_zmod_rejects_degenerate_sizes():
@@ -233,13 +234,18 @@ def test_amalgams_with_one_sum_table_in_j_share_their_add_table(z4, small_scenar
 
 
 def test_decode_and_labels_are_built_on_first_read(monkeypatch):
-    """Building the scenarios formats no label of an amalgam or f(A) + J and
-    builds no decode; the first read of each gives the eager definition."""
-    built = []
+    """A full harness run formats no label of an amalgam or f(A) + J and
+    builds no decode, since its verdict queries split bare copies; the first
+    read of each gives the eager definition."""
+    built, runs = [], []
     for cls, name in ((AmalgamRing, "_pair_labels"), (Embedding, "_host_labels")):
         real = getattr(cls, name)
         monkeypatch.setattr(cls, name, lambda self, real=real: built.append(self) or real(self))
-    scenarios = build_scenarios(CorpusConfig(max_amalgam_size=16))[1]
+    monkeypatch.setattr(theorems, "build_scenarios", lambda config: runs.append(build_scenarios(config)) or runs[-1])
+    clear_caches()
+    report = run_harness(CorpusConfig(max_amalgam_size=16), degree=1)
+    scenarios = runs[0][1]
+    assert report.scenario_count == len(scenarios)
     assert built == [] and not any("decode" in vars(sc.am) for sc in scenarios)
     for sc in scenarios:
         A, B, fmap, members = sc.base, sc.target, sc.hom.map, sc.ideal.members

@@ -3,7 +3,6 @@ hold corpus-wide, escalation separates hard failures from bound artifacts."""
 
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -189,66 +188,20 @@ def test_harness_json_omits_volatile_fields(harness_d1):
 SMALL_CONFIG = CorpusConfig(max_amalgam_size=8)
 
 
-def test_small_harness_multiworker_matches_inline():
-    inline = run_harness(SMALL_CONFIG, degree=1, workers=1)
-    pooled = run_harness(SMALL_CONFIG, degree=1, workers=3)
-    assert inline.to_json() == pooled.to_json()
-    assert inline.hard_violation_count == 0
-
-
-def test_pooled_run_builds_scenarios_once(monkeypatch):
-    pid = os.getpid()
-    real_build = theorems.build_scenarios
-
-    def build_in_parent_only(config):
-        assert os.getpid() == pid, "a pool worker rebuilt the scenarios"
-        return real_build(config)
-
-    monkeypatch.setattr(theorems, "build_scenarios", build_in_parent_only)
-    pooled = run_harness(SMALL_CONFIG, degree=1, workers=2)
-    inline = run_harness(SMALL_CONFIG, degree=1, workers=1)
-    assert pooled.to_json() == inline.to_json()
-
-
 @pytest.mark.parametrize("budget", [5, 50, 500])
-def test_budgeted_harness_skips_the_same_clauses_for_any_worker_count(budget):
-    """A verdict that runs out of budget in the pool is not filed, so the
-    clause asks again under the same budget and is SKIPPED_BUDGET, as in a
-    single-process run.  The skip counts move with any change to a scan's
-    node count, so they are asserted here rather than named in the test id."""
+def test_budgeted_harness_skips_clauses_whose_search_runs_out(budget):
+    """A verdict that runs out of budget is not memoized, so every clause
+    that asks for it searches again under the same budget and is
+    SKIPPED_BUDGET.  The skip counts move with any change to a scan's node
+    count, so they are asserted here rather than named in the test id."""
     skipped = {5: 1134, 50: 456, 500: 0}[budget]
-    config = CorpusConfig(max_amalgam_size=8, node_budget=budget)
-    reports = []
-    for workers in (1, 2):
-        clear_caches()
-        reports.append(run_harness(config, degree=1, workers=workers).to_json())
     clear_caches()
-    assert reports[0] == reports[1]
-    assert sum(len(c["skipped_budget"]) for c in json.loads(reports[0])["clauses"].values()) == skipped
-    assert "node_budget" not in reports[0]
+    report = run_harness(CorpusConfig(max_amalgam_size=8, node_budget=budget), degree=1).to_json()
+    clear_caches()
+    assert sum(len(c["skipped_budget"]) for c in json.loads(report)["clauses"].values()) == skipped
+    assert "node_budget" not in report
     if budget == 50:
-        assert hashlib.sha256(reports[0].encode()).hexdigest().startswith("f6c2105ad26d")
-
-
-def test_pool_searches_and_the_parent_evaluates_clauses(monkeypatch):
-    pid = os.getpid()
-    real_clause, real_scan = theorems.evaluate_clause, properties._search_violation
-
-    def clause_in_parent(*args):
-        assert os.getpid() == pid, "a pool worker evaluated a clause"
-        return real_clause(*args)
-
-    def scan_in_worker(*args):
-        assert os.getpid() != pid, "the parent ran a search"
-        return real_scan(*args)
-
-    clear_caches()
-    monkeypatch.setattr(theorems, "evaluate_clause", clause_in_parent)
-    monkeypatch.setattr(properties, "_search_violation", scan_in_worker)
-    pooled = run_harness(SMALL_CONFIG, degree=1, workers=2)
-    monkeypatch.undo()
-    clear_caches()
-    assert pooled.to_json() == run_harness(SMALL_CONFIG, degree=1, workers=1).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest().startswith("f6c2105ad26d")
 
 
 def test_harness_skips_scans_a_lower_degree_refutes(monkeypatch):
