@@ -10,6 +10,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import SizeBudgetError
 from .morphisms import Ideal, RingHom, identity_hom
+from .notation import matrix_slots
 from .rings import FiniteRing, _add_generators, fill_products, induced_ring, ring_closure, ring_memo, shared_ring
 
 __all__ = [
@@ -44,9 +45,7 @@ def zmod(n: int) -> FiniteRing:
     _check_budget(n, "zmod")
     add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
-    return FiniteRing.from_tables(
-        add, mul, labels=[str(i) for i in range(n)], provenance=f"zmod({n})", structure=("zmod", n)
-    )
+    return FiniteRing.from_tables(add, mul, provenance=f"zmod({n})", structure=("zmod", n))
 
 
 def _componentwise(tables: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
@@ -65,7 +64,6 @@ def direct_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     return FiniteRing.from_tables(
         _componentwise((R.add, S.add)),
         _componentwise((R.mul, S.mul)),
-        labels=[f"({R.label(r)},{S.label(s)})" for r in range(R.size) for s in range(S.size)],
         provenance=f"product({R.provenance},{S.provenance})",
         structure=("product", R, S),
     )
@@ -75,7 +73,6 @@ def _tuple_ring(
     R: FiniteRing,
     width: int,
     mul: Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]],
-    label: Callable[[tuple[int, ...]], str],
     what: str,
     provenance: str,
     structure: tuple,
@@ -92,27 +89,20 @@ def _tuple_ring(
         fill_products(
             add, _add_generators(add), index[(R.zero,) * width], lambda g: [index[mul(tuples[g], y)] for y in tuples]
         ),
-        labels=[label(t) for t in tuples],
         provenance=provenance,
         structure=structure,
     )
 
 
-def _matrix_like(
-    R: FiniteRing,
-    k: int,
-    positions: list[tuple[int, int]],
-    provenance: str,
-    structure: tuple,
-) -> FiniteRing:
-    """Shared builder for full and upper-triangular matrix rings over R.
-
-    positions lists the free (row, col) slots in row-major order; all other
-    entries are fixed at zero.  An element is the tuple of its free entries.
+def _matrix_like(R: FiniteRing, tag: str, k: int) -> FiniteRing:
+    """Shared builder for full ("matrix") and upper-triangular ("upper") k x k
+    matrix rings over R.  An element is the tuple of its entries in the free
+    slots, notation.matrix_slots(tag, k); all other entries are fixed at zero.
     """
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
     zero, addR, mulR = R.zero, R.add, R.mul
+    positions = matrix_slots(tag, k)
     free = set(positions)
 
     def square(x: tuple[int, ...]) -> list[list[int]]:
@@ -134,23 +124,18 @@ def _matrix_like(
                 p[r, c] = acc
         return tuple(p[rc] for rc in positions)
 
-    def label(x: tuple[int, ...]) -> str:
-        rows = ",".join("[" + ",".join(R.label(v) for v in row) + "]" for row in square(x))
-        return f"[{rows}]"
-
-    return _tuple_ring(R, len(positions), mul, label, provenance, provenance, structure)
+    provenance = f"{tag}({R.provenance},{k})"
+    return _tuple_ring(R, len(positions), mul, provenance, provenance, (tag, R, k))
 
 
 def upper_triangular(R: FiniteRing, k: int) -> FiniteRing:
     """Upper-triangular k x k matrices over R; |R|**(k(k+1)/2) elements."""
-    positions = [(r, c) for r in range(k) for c in range(r, k)]
-    return _matrix_like(R, k, positions, f"upper({R.provenance},{k})", ("upper", R, k))
+    return _matrix_like(R, "upper", k)
 
 
 def matrix_ring(R: FiniteRing, k: int) -> FiniteRing:
     """Full k x k matrices over R; |R|**(k*k) elements."""
-    positions = [(r, c) for r in range(k) for c in range(k)]
-    return _matrix_like(R, k, positions, f"matrix({R.provenance},{k})", ("matrix", R, k))
+    return _matrix_like(R, "matrix", k)
 
 
 def poly_quotient(R: FiniteRing, k: int) -> FiniteRing:
@@ -167,22 +152,7 @@ def poly_quotient(R: FiniteRing, k: int) -> FiniteRing:
                     p[i + j] = addR[p[i + j]][mulR[a][b]]
         return tuple(p)
 
-    def label(coeffs: tuple[int, ...]) -> str:
-        terms = []
-        for i, c in enumerate(coeffs):
-            if c == zero:
-                continue
-            base = R.label(c)
-            if i == 0:
-                terms.append(base)
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                terms.append(t if c == R.one else f"{base} {t}")
-        return " + ".join(terms) if terms else R.label(zero)
-
-    return _tuple_ring(
-        R, k, mul, label, "polynomial quotient", f"polyquot({R.provenance},{k})", ("polyquot", R, k)
-    )
+    return _tuple_ring(R, k, mul, "polynomial quotient", f"polyquot({R.provenance},{k})", ("polyquot", R, k))
 
 
 def quotient_ring(R: FiniteRing, I: Ideal) -> tuple[FiniteRing, tuple[int, ...]]:
@@ -212,7 +182,6 @@ def quotient_ring(R: FiniteRing, I: Ideal) -> tuple[FiniteRing, tuple[int, ...]]
         reps,
         surjection,
         R.one,
-        labels=[f"[{R.label(rep)}]" for rep in reps],
         provenance=f"quotient({R.provenance} / {len(members)})",
         structure=("quotient", R, surjection),
     )
@@ -234,20 +203,16 @@ class Embedding:
         except ValueError:
             raise ValueError(f"element {host_idx} is not in the subring") from None
 
-    def _host_labels(self) -> tuple[str, ...]:
-        return tuple(self.host.label(x) for x in self.members)
-
 
 def _build_embedding(R: FiniteRing, members: tuple[int, ...], provenance: str) -> Embedding:
     """Re-index a member set that holds R's identity and is closed under the
-    operations; the tables are built once per (R, members) and shared, and
-    the labels, R's labels of the members, on their first read."""
+    operations; the tables are built once per (R, members) and shared."""
 
     def build() -> FiniteRing:
         return induced_ring(R, members, {x: i for i, x in enumerate(members)}, R.one, provenance="", structure=())
 
     emb = Embedding(host=R, members=members, ring=shared_ring(R, ("subring", members), build))
-    emb.ring.labels, emb.ring.provenance, emb.ring.structure = emb._host_labels, provenance, ("subring", R, members)
+    emb.ring.provenance, emb.ring.structure = provenance, ("subring", R, members)
     return emb
 
 
@@ -272,7 +237,8 @@ class AmalgamRing:
 
     decode maps each element index to (a, b) with a in A and b = f(a) + j in B;
     it is the only element map: the j summand is b - f(a).  It is built on
-    its first read, as are the ring's labels, which the harness never reads.
+    its first read, which the harness never makes; the ring's labels are
+    written from it.
     """
 
     ring: FiniteRing
@@ -283,10 +249,6 @@ class AmalgamRing:
     def decode(self) -> tuple[tuple[int, int], ...]:
         addB, fmap = self.target.add, self.hom.map
         return tuple((a, addB[fmap[a]][j]) for a in range(self.base.size) for j in self.ideal.members)
-
-    def _pair_labels(self) -> tuple[str, ...]:
-        A, B = self.base, self.target
-        return tuple(f"({A.label(a)},{B.label(b)})" for a, b in self.decode)
 
     @property
     def base(self) -> FiniteRing:
@@ -346,7 +308,7 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
 
     ring = shared_ring(A, ("amalgam", zpos, jadd, left, right, jmul), build)
     am = AmalgamRing(ring=ring, hom=f, ideal=J)
-    ring.labels, ring.structure = am._pair_labels, ("amalgam", am)
+    ring.structure = ("amalgam", am)
     ring.provenance = f"amalgam({A.provenance}, {B.provenance}, |J|={nj})"
     return am
 

@@ -222,9 +222,9 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     """Split R along central idempotents until no factor splits further.
 
     Always splits at the smallest nontrivial central idempotent, so the factor
-    list is canonical for a given table.  R's bare copy is split, so no
-    verdict query formats R's labels, and the factors are bare tables, with
-    no labels or structure, so the memo never keeps R alive.
+    list is canonical for a given table.  R's bare copy is split, and the
+    factors are bare tables, with no structure, so the memo never keeps R
+    alive.
     """
 
     def compute() -> tuple[FiniteRing, ...]:

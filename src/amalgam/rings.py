@@ -15,6 +15,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import InvalidRingError
+from .notation import format_element
 
 __all__ = [
     "Law",
@@ -248,9 +249,9 @@ class FiniteRing:
     """A finite unital ring; immutable after construction.
 
     Do not mutate the tables.  Equality is object identity; structural
-    comparison goes through digest().  labels may be given as a zero-argument
-    callable, which the first read of labels calls and replaces by its tuple,
-    so a ring whose labels are never read never formats them.
+    comparison goes through digest().  structure names the construction, and
+    labels are written from it on demand by notation.format_element, so no
+    ring stores them.
     """
 
     def __init__(
@@ -260,24 +261,13 @@ class FiniteRing:
         mul: tuple[tuple[int, ...], ...],
         zero: int,
         one: int,
-        labels: Optional[tuple[str, ...] | Callable[[], tuple[str, ...]]] = None,
         provenance: str = "table",
         structure: Optional[tuple] = None,
     ) -> None:
         self.size, self.add, self.mul, self.zero, self.one = size, add, mul, zero, one
-        self.labels, self.provenance, self.structure = labels, provenance, structure
+        self.provenance, self.structure = provenance, structure
         self.neg = tuple(add[x].index(zero) for x in range(size))
         self._digest: Optional[str] = None
-
-    @property
-    def labels(self) -> Optional[tuple[str, ...]]:
-        if callable(self._labels):
-            self._labels = self._labels()
-        return self._labels
-
-    @labels.setter
-    def labels(self, labels: Optional[tuple[str, ...] | Callable[[], tuple[str, ...]]]) -> None:
-        self._labels = labels
 
     @classmethod
     def from_tables(
@@ -285,7 +275,6 @@ class FiniteRing:
         add: Sequence[Sequence[int]],
         mul: Sequence[Sequence[int]],
         *,
-        labels: Optional[Sequence[str]] = None,
         provenance: str = "table",
         structure: Optional[tuple] = None,
     ) -> "FiniteRing":
@@ -298,30 +287,21 @@ class FiniteRing:
         zero = _find_add_identity(add_t)
         one = _find_mul_identity(mul_t)
         assert zero is not None and one is not None
-        return cls(
-            size=len(add_t),
-            add=add_t,
-            mul=mul_t,
-            zero=zero,
-            one=one,
-            labels=tuple(labels) if labels is not None else None,
-            provenance=provenance,
-            structure=structure,
-        )
+        return cls(len(add_t), add_t, mul_t, zero, one, provenance, structure)
 
     def label(self, x: int) -> str:
-        # Constructors call this per element, so it skips the property once labels are built.
-        labels = self._labels
-        if callable(labels):
-            labels = self.labels
-        return str(x) if labels is None else labels[x]
+        return format_element(self, x)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(self.label, range(self.size)))
 
     def bare(self) -> "FiniteRing":
-        """A copy with the same tables, neg and digest, and no labels,
-        provenance or structure.  The factor split works on bare copies, so a
-        verdict query never formats labels and no memo fact pins the ring."""
+        """A copy with the same tables, neg and digest, and no provenance or
+        structure, so its labels are its indices.  The factor split works on
+        bare copies, so no memo fact pins the ring."""
         ring = copy.copy(self)
-        ring.labels, ring.provenance, ring.structure = None, "table", None
+        ring.provenance, ring.structure = "table", None
         return ring
 
     def digest(self) -> str:
@@ -381,8 +361,8 @@ def clear_caches() -> None:
 
 
 def shared_ring(owner: FiniteRing, key: Hashable, build: Callable[[], FiniteRing]) -> FiniteRing:
-    """A copy of the ring build() makes; its labels, provenance and structure
-    are the caller's to set.
+    """A copy of the ring build() makes; its provenance and structure are the
+    caller's to set.
 
     build() must depend only on owner's tables and key: its ring is stored as
     owner's fact named key, and every copy made for that fact shares its add,
@@ -399,7 +379,6 @@ def induced_ring(
     index: Mapping[int, int] | Sequence[int],
     one: int,
     *,
-    labels: Optional[Sequence[str]] = None,
     provenance: str,
     structure: tuple,
 ) -> FiniteRing:
@@ -407,10 +386,9 @@ def induced_ring(
 
     index sends each element of R that a sum or product of reps reaches to its
     position in reps: a position map for a subring, the surjection for a
-    quotient.  one is the element of R whose position is the identity; labels
-    default to R's labels of the reps.  The caller guarantees the tables form a
-    ring (a closed member set, or cosets of a two-sided ideal), so the axiom
-    scan is skipped.
+    quotient.  one is the element of R whose position is the identity.  The
+    caller guarantees the tables form a ring (a closed member set, or cosets
+    of a two-sided ideal), so the axiom scan is skipped.
     """
     add, mul = R.add, R.mul
     return FiniteRing(
@@ -419,7 +397,6 @@ def induced_ring(
         mul=tuple(tuple(index[mul[x][y]] for y in reps) for x in reps),
         zero=index[R.zero],
         one=index[one],
-        labels=tuple(labels) if labels is not None else tuple(R.label(x) for x in reps),
         provenance=provenance,
         structure=structure,
     )

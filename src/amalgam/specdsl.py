@@ -15,6 +15,7 @@ from typing import Callable, Optional, Union
 from .constructions import amalgamation, direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
 from .errors import InvalidRingError, NotAHomError, SearchBudgetError
 from .morphisms import Ideal, RingHom, enumerate_homs, generated_ideal, _propagate
+from .notation import LiteralError, _parse_rows, _split_top, _strip_outer, format_element, parse_element
 from .rings import FiniteRing
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "pretty_print",
     "parse_element",
     "format_element",
+    "LiteralError",
 ]
 
 
@@ -131,196 +133,6 @@ class SpecModel:
         if name in self.amalgams:
             return self.amalgams[name].ring
         return None
-
-
-# --------------------------------------------------------------------------
-# element literals
-
-class LiteralError(ValueError):
-    pass
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on a separator character at bracket depth zero."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth < 0:
-                raise LiteralError(f"unbalanced brackets in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise LiteralError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(current))
-    return parts
-
-
-def _strip_outer(text: str, open_ch: str, close_ch: str) -> Optional[str]:
-    """The inside of one outer bracket pair, or None if text is not wrapped."""
-    text = text.strip()
-    if not (text.startswith(open_ch) and text.endswith(close_ch)):
-        return None
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth == 0 and i != len(text) - 1:
-                return None
-    return text[1:-1]
-
-
-def _parse_rows(text: str, entry: Callable[[str], int], shape: str) -> tuple[tuple[int, ...], ...]:
-    """The entries of a [[..],[..]] row list, each read by entry; shape names
-    the expected form in the error for text that is not one bracketed list."""
-    inner = _strip_outer(text, "[", "]")
-    if inner is None:
-        raise LiteralError(f"expected {shape}, got {text!r}")
-    rows = []
-    for row_text in _split_top(inner, ","):
-        row_inner = _strip_outer(row_text, "[", "]")
-        if row_inner is None:
-            raise LiteralError(f"expected a [..] row, got {row_text.strip()!r}")
-        rows.append(tuple(entry(e) for e in _split_top(row_inner, ",")))
-    return tuple(rows)
-
-
-_TERM_RE = re.compile(r"^(?:(?P<coeff>.+?)\s*)?\bt(?:\^(?P<power>\d+))?$")
-
-
-def parse_element(R: FiniteRing, text: str) -> int:
-    """Parse an element literal in the ring's native notation into its index.
-
-    The notation follows the ring's construction: integers for modular rings,
-    (a,b) pairs for products and amalgams, [[..],[..]] row lists for matrix
-    shapes, c0 + c1 t + ... for truncated polynomial rings, [r] for quotient
-    cosets, and the universal escape #k for a raw element index.
-    """
-    text = text.strip()
-    if not text:
-        raise LiteralError("empty element literal")
-    if text.startswith("#"):
-        try:
-            idx = int(text[1:])
-        except ValueError:
-            raise LiteralError(f"bad raw index literal {text!r}") from None
-        if not 0 <= idx < R.size:
-            raise LiteralError(f"raw index {idx} out of range for a ring of size {R.size}")
-        return idx
-
-    tag = R.structure[0] if R.structure else None
-
-    if tag == "zmod":
-        n = R.structure[1]
-        try:
-            return int(text) % n
-        except ValueError:
-            raise LiteralError(f"expected an integer modulo {n}, got {text!r}") from None
-
-    if tag == "product":
-        _, R1, R2 = R.structure
-        inner = _strip_outer(text, "(", ")")
-        if inner is None:
-            raise LiteralError(f"expected a (left,right) pair, got {text!r}")
-        parts = _split_top(inner, ",")
-        if len(parts) != 2:
-            raise LiteralError(f"expected two components in {text!r}")
-        return parse_element(R1, parts[0]) * R2.size + parse_element(R2, parts[1])
-
-    if tag in ("upper", "matrix"):
-        _, R0, k = R.structure
-        row_entries = _parse_rows(text, lambda e: parse_element(R0, e), "a [[..],[..]] matrix")
-        if len(row_entries) != k or any(len(r) != k for r in row_entries):
-            raise LiteralError(f"expected a {k}x{k} matrix, got {text!r}")
-        if tag == "upper":
-            positions = [(r, c) for r in range(k) for c in range(r, k)]
-            for r in range(k):
-                for c in range(r):
-                    if row_entries[r][c] != R0.zero:
-                        raise LiteralError(f"entry ({r},{c}) must be zero in an upper-triangular ring")
-        else:
-            positions = [(r, c) for r in range(k) for c in range(k)]
-        idx = 0
-        for r, c in positions:
-            idx = idx * R0.size + row_entries[r][c]
-        return idx
-
-    if tag == "polyquot":
-        _, R0, k = R.structure
-        coeffs = [R0.zero] * k
-        for term in _split_top(text, "+"):
-            term = term.strip()
-            if not term:
-                raise LiteralError(f"empty term in {text!r}")
-            m = _TERM_RE.match(term)
-            if m:
-                power = int(m.group("power") or 1)
-                coeff_text = m.group("coeff")
-                coeff = R0.one if coeff_text is None else parse_element(R0, coeff_text)
-            else:
-                power = 0
-                coeff = parse_element(R0, term)
-            if power >= k:
-                raise LiteralError(f"power t^{power} out of range; the ring truncates at t^{k}")
-            coeffs[power] = R0.add[coeffs[power]][coeff]
-        idx = 0
-        for c in coeffs:
-            idx = idx * R0.size + c
-        return idx
-
-    if tag == "quotient":
-        _, host, surjection = R.structure
-        inner = _strip_outer(text, "[", "]")
-        if inner is not None:
-            return surjection[parse_element(host, inner)]
-        raise LiteralError(f"expected a [representative] coset literal, got {text!r}")
-
-    if tag in ("subring", "factor"):
-        _, host, members = R.structure
-        host_idx = parse_element(host, text)
-        try:
-            return members.index(host_idx)
-        except ValueError:
-            raise LiteralError(f"element {text!r} lies outside the subring") from None
-
-    if tag == "amalgam":
-        am = R.structure[1]
-        A, B = am.base, am.target
-        inner = _strip_outer(text, "(", ")")
-        if inner is None:
-            raise LiteralError(f"expected an (a,b) pair, got {text!r}")
-        parts = _split_top(inner, ",")
-        if len(parts) != 2:
-            raise LiteralError(f"expected two components in {text!r}")
-        a = parse_element(A, parts[0])
-        b = parse_element(B, parts[1])
-        j = B.sub(b, am.hom.map[a])
-        members = am.ideal.members
-        if j not in members:
-            raise LiteralError(f"pair {text!r} is not an element of the amalgam: second component minus the image is outside the ideal")
-        return a * len(members) + members.index(j)
-
-    try:
-        idx = int(text)
-    except ValueError:
-        raise LiteralError(f"expected an element index for this ring, got {text!r}") from None
-    if not 0 <= idx < R.size:
-        raise LiteralError(f"index {idx} out of range for a ring of size {R.size}")
-    return idx
-
-
-def format_element(R: FiniteRing, idx: int) -> str:
-    """Canonical display form of an element; inverse of parse_element."""
-    return R.label(idx)
 
 
 # --------------------------------------------------------------------------

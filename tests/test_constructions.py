@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import amalgam.theorems as theorems
-from amalgam import rings
+from amalgam import notation, rings
 from amalgam.constructions import (
     AmalgamRing,
-    Embedding,
     amalgamation,
     direct_product,
     duplication,
@@ -233,28 +232,26 @@ def test_amalgams_with_one_sum_table_in_j_share_their_add_table(z4, small_scenar
     assert len({id(sc.am.ring.add) for sc in small_scenarios}) == len(keys) == 47
 
 
-def test_decode_and_labels_are_built_on_first_read(monkeypatch):
-    """A full harness run formats no label of an amalgam or f(A) + J and
-    builds no decode, since its verdict queries split bare copies; the first
-    read of each gives the eager definition."""
-    built, runs = [], []
-    for cls, name in ((AmalgamRing, "_pair_labels"), (Embedding, "_host_labels")):
-        real = getattr(cls, name)
-        monkeypatch.setattr(cls, name, lambda self, real=real: built.append(self) or real(self))
+def test_harness_formats_no_element_and_builds_no_decode(monkeypatch):
+    """A full harness run formats no element and builds no decode, since its
+    verdict queries split bare copies; read afterwards, the labels of each
+    amalgam are its pairs (a, f(a) + j) and those of each f(A) + J its host's."""
+    formatted, runs = [], []
+    real = notation.format_element
+    for module in (notation, rings):
+        monkeypatch.setattr(module, "format_element", lambda R, idx: formatted.append(idx) or real(R, idx))
     monkeypatch.setattr(theorems, "build_scenarios", lambda config: runs.append(build_scenarios(config)) or runs[-1])
     clear_caches()
     report = run_harness(CorpusConfig(max_amalgam_size=16), degree=1)
     scenarios = runs[0][1]
-    assert report.scenario_count == len(scenarios)
-    assert built == [] and not any("decode" in vars(sc.am) for sc in scenarios)
+    assert report.scenario_count == len(scenarios) == 1619
+    assert formatted == [] and not any("decode" in vars(sc.am) for sc in scenarios)
     for sc in scenarios:
         A, B, fmap, members = sc.base, sc.target, sc.hom.map, sc.ideal.members
         for idx, (a, b) in enumerate(sc.am.decode):
             assert B.sub(b, fmap[a]) == members[idx % len(members)] and a == idx // len(members)
-        R, F = sc.am.ring, sc.faj.ring
-        assert R.labels == tuple(f"({A.label(a)},{B.label(b)})" for a, b in sc.am.decode) and R.labels is R.labels
-        assert F.labels == tuple(B.label(x) for x in sc.faj.members) and F.labels is F.labels
-    assert len(built) == 2 * len(scenarios) == 3238
+        assert sc.am.ring.labels == tuple(f"({A.label(a)},{B.label(b)})" for a, b in sc.am.decode)
+        assert sc.faj.ring.labels == tuple(B.label(x) for x in sc.faj.members)
 
 
 def test_amalgam_requires_proper_ideal(z4):

@@ -3,8 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amalgam.constructions import direct_product, matrix_ring, poly_quotient, quotient_ring, upper_triangular, zmod
-from amalgam.morphisms import generated_ideal
+from amalgam.constructions import (
+    amalgamation,
+    direct_product,
+    f_plus_j,
+    matrix_ring,
+    poly_quotient,
+    quotient_ring,
+    subring_closure,
+    upper_triangular,
+    zmod,
+)
+from amalgam.morphisms import RingHom, generated_ideal
+from amalgam.rings import central_idempotents, split_by_central_idempotent
 from amalgam.specdsl import (
     CheckDirective,
     HarnessDirective,
@@ -66,9 +77,12 @@ ring A = zmod 2
 ring P = product(A, A)
 ring U = upper(A, 2)
 ring Q = polyquot(A, 3)
+ring P2 = polyquot(A, 2)
+ring PP = polyquot(P2, 2)
 ideal JP of P = generated { (0,1) }
 ideal JU of U = generated { [[0,1],[0,0]] }
 ideal JQ of Q = generated { t }
+ideal JPP of PP = generated { #4 }
 hom h : P -> P = map { (0,1) -> (1,0) }
 check P armendariz degree 1
 """
@@ -76,10 +90,12 @@ check P armendariz degree 1
     assert m.ok, [d.render() for d in m.diagnostics]
     assert m.ideals["JP"].members == (0, 1)
     assert m.ideals["JU"].members  # strictly upper corner ideal
+    assert m.ideals["JPP"].members == (0, 1, 4, 5)
     assert m.homs["h"].map == (0, 2, 1, 3)
     text = pretty_print(m)
     m2 = parse_spec(text)
     assert m2.ok and m2.statements == m.statements
+    assert {k: I.members for k, I in m2.ideals.items()} == {k: I.members for k, I in m.ideals.items()}
     assert pretty_print(m2) == text
 
 
@@ -107,9 +123,19 @@ def test_element_literals_round_trip_all_structures():
         poly_quotient(zmod(3), 2),
         direct_product(zmod(2), poly_quotient(zmod(2), 2)),
     ]
-    Z4 = rings[0]
+    Z4, P = rings[0], rings[-1]
     Q, _ = quotient_ring(Z4, generated_ideal(Z4, [2]))
     rings.append(Q)
+    B = direct_product(Z4, zmod(2))
+    f = RingHom(Z4, B, tuple(2 * x + x % 2 for x in range(4)))
+    rings += [
+        subring_closure(P, [1]).ring,
+        *split_by_central_idempotent(P, central_idempotents(P)[0]),
+        f_plus_j(f, generated_ideal(B, [4])).ring,
+        amalgamation(f, generated_ideal(B, [4])).ring,
+        poly_quotient(poly_quotient(zmod(2), 2), 2),
+        poly_quotient(subring_closure(poly_quotient(zmod(2), 3), [1]).ring, 2),
+    ]
     for R in rings:
         for idx in range(R.size):
             assert parse_element(R, format_element(R, idx)) == idx, (R.provenance, idx)
