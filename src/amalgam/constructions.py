@@ -271,7 +271,9 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
     (a1, f(a1) + j1) * (a2, f(a2) + j2) is f(a1 a2) + f(a1) j2 + j1 f(a2) +
     j1 j2, so the product table is built once per A and key: that sum table,
     f(a) j and j f(a), and the product in J.  From them, fill_products needs
-    the closed form only on generator rows.
+    the closed form only on generator rows.  Everything in the key but f(a) j
+    and j f(a) depends on J alone, so it is built once per Ideal (J.jpart)
+    and every hom along that Ideal reads it.
     """
     if J.host is not f.codomain:
         raise ValueError("ideal must live in the codomain of the homomorphism")
@@ -282,14 +284,10 @@ def amalgamation(f: RingHom, J: Ideal) -> AmalgamRing:
     nj = len(members)
     n = A.size * nj
     _check_budget(n, "amalgamation")
-    jpos = {j: p for p, j in enumerate(members)}
-    addB, mulB, fmap = B.add, B.mul, f.map
-    zpos = jpos[B.zero]
-    jrows = [mulB[x] for x in members]
-    jadd = tuple([tuple([jpos[row[y]] for y in members]) for row in [addB[x] for x in members]])
+    jpos, zpos, jrows, jadd, jmul = J.jpart
+    mulB, fmap = B.mul, f.map
     left = tuple([tuple([jpos[row[y]] for y in members]) for row in [mulB[fa] for fa in fmap]])
     right = tuple([tuple([jpos[row[fa]] for fa in fmap]) for row in jrows])
-    jmul = tuple([tuple([jpos[row[y]] for y in members]) for row in jrows])
 
     def row(x: int) -> list[int]:
         # (a1, p) * (a2, q) = (a1 a2, right[p][a2] + left[a1][q] + jmul[p][q])

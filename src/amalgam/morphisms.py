@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotAHomError, NotAnIdealError, SearchBudgetError
@@ -71,6 +72,18 @@ class Ideal:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def jpart(self) -> tuple:
+        """What an amalgam along J reads of the host whatever the hom is: the
+        position of each member, the position of zero, the host's product rows
+        at the members, and the sum and product tables of J in J-positions."""
+        host, members = self.host, self.members
+        jpos = {j: p for p, j in enumerate(members)}
+        jrows = tuple([host.mul[x] for x in members])
+        jadd = tuple([tuple([jpos[row[y]] for y in members]) for row in [host.add[x] for x in members]])
+        jmul = tuple([tuple([jpos[row[y]] for y in members]) for row in jrows])
+        return jpos, jpos[host.zero], jrows, jadd, jmul
 
 
 def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> Ideal:

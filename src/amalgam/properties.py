@@ -66,6 +66,12 @@ class PropertyKind(Enum):
     NIL_ARMENDARIZ = "nil-armendariz"
     WEAK_ARMENDARIZ = "weak-armendariz"
 
+    # Every verdict key holds a kind, so hash by identity in C rather than
+    # by name in Enum.__hash__: members are singletons and Enum.__eq__ is
+    # identity.  A set of kinds may iterate in another order in another
+    # run, and no output iterates one.
+    __hash__ = object.__hash__
+
 
 class Verdict(Enum):
     HOLDS_EXACT = "HOLDS_EXACT"

@@ -71,7 +71,7 @@ class Scenario:
     Its verdict queries search under node_budget, fixed at construction.
     """
 
-    __slots__ = ("base_name", "target_name", "hom", "ideal", "am", "faj", "preimage", "key", "node_budget")
+    __slots__ = ("base_name", "target_name", "hom", "ideal", "am", "faj", "preimage", "node_budget")
 
     def __init__(self, base_name: str, target_name: str, hom: RingHom, ideal: Ideal, node_budget: Optional[int] = None):
         self.base_name = base_name
@@ -81,10 +81,14 @@ class Scenario:
         self.am = amalgamation(hom, ideal)
         self.faj = f_plus_j(hom, ideal)
         self.preimage = preimage_ideal(hom, ideal)
-        fmap = ",".join(map(str, hom.map))
-        members = ",".join(map(str, ideal.members))
-        self.key = f"{base_name}->{target_name}|f=[{fmap}]|J=[{members}]"
         self.node_budget = node_budget
+
+    @property
+    def key(self) -> str:
+        """The scenario's report name, written on each read."""
+        fmap = ",".join(map(str, self.hom.map))
+        members = ",".join(map(str, self.ideal.members))
+        return f"{self.base_name}->{self.target_name}|f=[{fmap}]|J=[{members}]"
 
     @property
     def base(self) -> FiniteRing:
@@ -352,8 +356,12 @@ class ClauseOutcome:
     detail: str = ""
 
 
-def evaluate_clause(clause: TheoremClause, scenario: Scenario, degree: int) -> ClauseOutcome:
-    """Evaluate one clause on one scenario at one degree bound.
+_PASSED = (OutcomeStatus.PASSED, "")
+_HYPOTHESIS_FAILED = (OutcomeStatus.HYPOTHESIS_FAILED, "")
+
+
+def _judge(clause: TheoremClause, scenario: Scenario, degree: int) -> tuple[OutcomeStatus, str]:
+    """The status and detail of one clause on one scenario at one degree bound.
 
     A failed conclusion is re-examined at the next degree bound before being
     declared hard: bound-qualified verdicts can flip when the bound rises, so
@@ -361,42 +369,31 @@ def evaluate_clause(clause: TheoremClause, scenario: Scenario, degree: int) -> C
     about exact element-level properties skip the escalation, since nothing in
     them depends on the bound.
     """
-    cid = clause.clause_id
-    key = scenario.key
     try:
         if not clause.hypothesis(scenario, degree):
-            return ClauseOutcome(cid, key, OutcomeStatus.HYPOTHESIS_FAILED)
+            return _HYPOTHESIS_FAILED
         if clause.conclusion(scenario, degree):
-            return ClauseOutcome(cid, key, OutcomeStatus.PASSED)
+            return _PASSED
     except SearchBudgetError as exc:
-        return ClauseOutcome(cid, key, OutcomeStatus.SKIPPED_BUDGET, str(exc))
+        return OutcomeStatus.SKIPPED_BUDGET, str(exc)
     if not clause.degree_sensitive:
-        return ClauseOutcome(
-            cid, key, OutcomeStatus.HARD_VIOLATION, "conclusion fails and does not depend on the degree bound"
-        )
+        return OutcomeStatus.HARD_VIOLATION, "conclusion fails and does not depend on the degree bound"
     try:
         hyp_up = clause.hypothesis(scenario, degree + 1)
         concl_up = clause.conclusion(scenario, degree + 1) if hyp_up else True
     except SearchBudgetError as exc:
-        return ClauseOutcome(
-            cid,
-            key,
+        return (
             OutcomeStatus.VIOLATION_CANDIDATE,
             f"fails at degree bound {degree}; escalation hit the search budget: {exc}",
         )
     if hyp_up and not concl_up:
-        return ClauseOutcome(
-            cid,
-            key,
-            OutcomeStatus.HARD_VIOLATION,
-            f"conclusion fails at degree bounds {degree} and {degree + 1}",
-        )
-    return ClauseOutcome(
-        cid,
-        key,
-        OutcomeStatus.VIOLATION_CANDIDATE,
-        f"fails at degree bound {degree} but is not sustained at {degree + 1}",
-    )
+        return OutcomeStatus.HARD_VIOLATION, f"conclusion fails at degree bounds {degree} and {degree + 1}"
+    return OutcomeStatus.VIOLATION_CANDIDATE, f"fails at degree bound {degree} but is not sustained at {degree + 1}"
+
+
+def evaluate_clause(clause: TheoremClause, scenario: Scenario, degree: int) -> ClauseOutcome:
+    """Evaluate one clause on one scenario at one degree bound (see _judge)."""
+    return ClauseOutcome(clause.clause_id, scenario.key, *_judge(clause, scenario, degree))
 
 
 def evaluate_scenario(scenario: Scenario, registry: tuple[TheoremClause, ...], degree: int) -> list[ClauseOutcome]:
@@ -553,8 +550,11 @@ def run_harness(config: Optional[CorpusConfig] = None, *, degree: int = 2, worke
 
     The clauses run in scenario order, in this process.  Each asks holds
     for the verdicts it needs, and the ring memo keeps every decided verdict
-    by table, so only a search that ran out of node_budget runs again.
-    workers must be at least 1 and does not change how the run proceeds.
+    by table, so only a search that ran out of node_budget runs again.  The
+    loop tallies each clause's status and writes a scenario's key only for
+    the outcomes the report lists; evaluate_clause gives the same status as
+    a ClauseOutcome.  workers must be at least 1 and does not change how
+    the run proceeds.
     """
     if degree < 0:
         raise ValueError("degree bound must be non-negative")
@@ -563,23 +563,22 @@ def run_harness(config: Optional[CorpusConfig] = None, *, degree: int = 2, worke
     config = config or CorpusConfig()
     registry = clause_registry()
     corpus, scenarios = build_scenarios(config)
-    summaries = {c.clause_id: ClauseSummary(c.clause_id, c.summary, c.shape) for c in registry}
+    pairs = [(c, ClauseSummary(c.clause_id, c.summary, c.shape)) for c in registry]
     for scenario in scenarios:
-        for o in evaluate_scenario(scenario, registry, degree):
-            s = summaries[o.clause_id]
-            s.tested += 1
-            if o.status is OutcomeStatus.HYPOTHESIS_FAILED:
-                s.hypothesis_failed += 1
-            elif o.status is OutcomeStatus.PASSED:
+        for clause, s in pairs:
+            status, detail = _judge(clause, scenario, degree)
+            if status is OutcomeStatus.PASSED:
                 s.passed += 1
-            elif o.status is OutcomeStatus.VIOLATION_CANDIDATE:
-                s.violation_candidates.append((o.scenario_key, o.detail))
-            elif o.status is OutcomeStatus.HARD_VIOLATION:
-                s.hard_violations.append((o.scenario_key, o.detail))
+            elif status is OutcomeStatus.HYPOTHESIS_FAILED:
+                s.hypothesis_failed += 1
+            elif status is OutcomeStatus.VIOLATION_CANDIDATE:
+                s.violation_candidates.append((scenario.key, detail))
+            elif status is OutcomeStatus.HARD_VIOLATION:
+                s.hard_violations.append((scenario.key, detail))
             else:
-                s.skipped_budget.append((o.scenario_key, o.detail))
-    for clause in registry:
-        s = summaries[clause.clause_id]
+                s.skipped_budget.append((scenario.key, detail))
+    for clause, s in pairs:
+        s.tested = len(scenarios)
         if s.tested > 0 and s.hypothesis_failed == s.tested:
             s.vacuous_corpus_wide = True
             s.note = clause.vacuity_note or "hypothesis never satisfied on this corpus"
@@ -589,5 +588,5 @@ def run_harness(config: Optional[CorpusConfig] = None, *, degree: int = 2, worke
         config=config,
         ring_names=[name for name, _ in corpus],
         scenario_count=len(scenarios),
-        summaries=[summaries[c.clause_id] for c in registry],
+        summaries=[s for _, s in pairs],
     )

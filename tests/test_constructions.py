@@ -270,6 +270,29 @@ def test_amalgam_jpart_consistency(z4):
         assert a == idx // len(J.members)
 
 
+def test_amalgams_along_one_ideal_share_one_jpart():
+    """The J-part of an amalgam depends on J alone: two homs into B along
+    one Ideal read the one J.jpart it builds, and each amalgam still has the
+    pairs (a, f(a) + j)."""
+    B = direct_product(zmod(2), zmod(2))
+    J = Ideal(B, (0, 1))
+    f, g = enumerate_homs(B, B)[:2]
+    assert f.map != g.map
+    ams = [amalgamation(f, J), amalgamation(g, J)]
+    jpart = vars(J)["jpart"]  # built by the first amalgamation, read by the second
+    assert J.jpart is jpart
+    jpos, zpos, jrows, jadd, jmul = jpart
+    assert jpos == {0: 0, 1: 1} and zpos == jpos[B.zero]
+    assert jrows == tuple(B.mul[j] for j in J.members)
+    assert jadd == tuple(tuple(jpos[B.add[x][y]] for y in J.members) for x in J.members)
+    assert jmul == tuple(tuple(jpos[B.mul[x][y]] for y in J.members) for x in J.members)
+    for am in ams:
+        fmap, nj = am.hom.map, len(J.members)
+        for idx, (a, b) in enumerate(am.decode):
+            assert B.sub(b, fmap[a]) == J.members[idx % nj]
+            assert a == idx // nj
+
+
 def test_embedding_into_product_is_faithful(z4):
     am = duplication(z4, generated_ideal(z4, [2]))
     emb = embedding_into_product(am)

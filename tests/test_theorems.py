@@ -109,24 +109,35 @@ def test_evaluate_clause_statuses(dup_scenario):
     assert outcome.status is OutcomeStatus.HYPOTHESIS_FAILED
 
 
+def _always(sc, d):
+    return True
+
+
+# One clause for each escalation path: a hard failure without escalation,
+# a hard failure sustained at the next bound, and two candidates, one whose
+# conclusion recovers and one whose hypothesis lapses at the next bound.
+SYNTHETIC_CLAUSES = (
+    TheoremClause("X-1", "synthetic", "implication", _always, lambda sc, d: False, degree_sensitive=False),
+    TheoremClause("X-2", "synthetic", "implication", _always, lambda sc, d: False),
+    TheoremClause("X-3", "synthetic", "implication", _always, lambda sc, d: d >= 2),
+    TheoremClause("X-4", "synthetic", "implication", lambda sc, d: d == 1, lambda sc, d: False),
+)
+
+
 def test_evaluate_clause_escalation_paths(dup_scenario):
-    always = lambda sc, d: True
-    hard_insensitive = TheoremClause("X-1", "synthetic", "implication", always, lambda sc, d: False, degree_sensitive=False)
+    hard_insensitive, hard_sustained, recovers, hyp_gone = SYNTHETIC_CLAUSES
     out = evaluate_clause(hard_insensitive, dup_scenario, 1)
     assert out.status is OutcomeStatus.HARD_VIOLATION
     assert "does not depend" in out.detail
 
-    hard_sustained = TheoremClause("X-2", "synthetic", "implication", always, lambda sc, d: False)
     out = evaluate_clause(hard_sustained, dup_scenario, 1)
     assert out.status is OutcomeStatus.HARD_VIOLATION
     assert "degree bounds 1 and 2" in out.detail
 
-    recovers = TheoremClause("X-3", "synthetic", "implication", always, lambda sc, d: d >= 2)
     out = evaluate_clause(recovers, dup_scenario, 1)
     assert out.status is OutcomeStatus.VIOLATION_CANDIDATE
     assert "not sustained" in out.detail
 
-    hyp_gone = TheoremClause("X-4", "synthetic", "implication", lambda sc, d: d == 1, lambda sc, d: False)
     out = evaluate_clause(hyp_gone, dup_scenario, 1)
     assert out.status is OutcomeStatus.VIOLATION_CANDIDATE
 
@@ -225,3 +236,34 @@ def test_harness_skips_scans_a_lower_degree_refutes(monkeypatch):
     _, scenarios = build_scenarios(SMALL_CONFIG)
     assert any(not holds(sc.am.ring, kind, 1) for sc in scenarios if sc.am.ring.size == 8 for kind in POLY_KINDS)
     clear_caches()
+
+
+def test_harness_tallies_match_a_fold_of_evaluate_clause(monkeypatch):
+    """run_harness tallies statuses without building outcomes; its summaries
+    must be exactly what folding evaluate_clause over every (scenario,
+    clause) in the same order gives: counts, list order and details."""
+    registry = clause_registry() + SYNTHETIC_CLAUSES
+    monkeypatch.setattr(theorems, "clause_registry", lambda: registry)
+    seen = set()
+    for budget in (None, 5):
+        config = CorpusConfig(max_amalgam_size=16, node_budget=budget)
+        clear_caches()
+        report = run_harness(config, degree=1)
+        clear_caches()
+        _, scenarios = build_scenarios(config)
+        folded = {c.clause_id: {status: [] for status in OutcomeStatus} for c in registry}
+        for sc in scenarios:
+            for o in evaluate_scenario(sc, registry, 1):
+                folded[o.clause_id][o.status].append((o.scenario_key, o.detail))
+        clear_caches()
+        assert [s.clause_id for s in report.summaries] == [c.clause_id for c in registry]
+        for s in report.summaries:
+            by_status = folded[s.clause_id]
+            seen.update(status for status, outcomes in by_status.items() if outcomes)
+            assert s.tested == len(scenarios)
+            assert s.passed == len(by_status[OutcomeStatus.PASSED])
+            assert s.hypothesis_failed == len(by_status[OutcomeStatus.HYPOTHESIS_FAILED])
+            assert s.violation_candidates == by_status[OutcomeStatus.VIOLATION_CANDIDATE]
+            assert s.hard_violations == by_status[OutcomeStatus.HARD_VIOLATION]
+            assert s.skipped_budget == by_status[OutcomeStatus.SKIPPED_BUDGET]
+    assert seen == set(OutcomeStatus)
