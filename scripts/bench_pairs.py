@@ -6,7 +6,9 @@ Usage (from the root of a checkout):
 
 Pair i runs `python3 benchmark/run.py --workload W --seed SEED+i --seconds S`
 once in each checkout for every workload W, with S the run_seconds of
-BENCHMARK.json.  The parent goes first in even
+BENCHMARK.json; `--workload all` names every workload of BENCHMARK.json,
+each run on its own, since run.py prints the metrics of only its last
+workload on its last line.  The parent goes first in even
 pairs and the change first in odd ones, so a drift in the host's speed falls
 on both sides alike.  The script writes BENCH_<NAME>.json at the root of this
 checkout: for each workload and end-to-end metric, the raw values of both
@@ -80,6 +82,8 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
+    if args.workload == ["all"]:
+        args.workload = [w["name"] for w in benchmark["workloads"]]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     runs = {w: {side: [] for side in SIDES} for w in args.workload}

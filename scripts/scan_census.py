@@ -7,12 +7,15 @@ Usage (from the root of a checkout):
     python scripts/scan_census.py --compare parent.json change.json
 
 The first form runs the engine's direct scan of R itself (no memo, degree
-lift, nil ideal or factor split) for each of the three polynomial kinds at
-each degree on every distinct base, target, amalgam and f(A)+J ring of the
-scenarios whose amalgams have at most --cap elements, and writes one JSON
-record per scan.  Beside each scan it records holds(R, kind, d), computed
+lift, nil ideal, factor split or Gaussian route) for each of the three
+polynomial kinds at each degree on every distinct base, target, amalgam and
+f(A)+J ring of the scenarios whose amalgams have at most --cap elements, and
+writes one JSON record per scan.  Beside each scan it records holds(R, kind, d), computed
 from an empty memo, so every shortcut is held to the scan: it prints each
-record where the two verdicts disagree and exits 1 if any does.
+record where the two verdicts disagree and exits 1 if any does.  Each
+record also says whether R is Gaussian with one indecomposable factor
+(`gaussian`), where holds answers Armendariz with no scan, and the census
+prints how many holding Armendariz scans that route replaces.
 The source tree on PYTHONPATH comes before this checkout's own `src`, so
 `PYTHONPATH=other/src python scripts/scan_census.py` takes a census of
 another checkout.  A cut in the scans that keeps every lex-minimal witness
@@ -36,7 +39,16 @@ from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
-from amalgam.properties import POLY_KINDS, _kind_sets, _search_violation, clear_caches, holds  # noqa: E402
+from amalgam.properties import (  # noqa: E402
+    POLY_KINDS,
+    PropertyKind,
+    _indecomposable_factors,
+    _is_gaussian,
+    _kind_sets,
+    _search_violation,
+    clear_caches,
+    holds,
+)
 from amalgam.theorems import CorpusConfig, build_scenarios  # noqa: E402
 
 
@@ -71,6 +83,7 @@ def census(cap: int, degrees: list[int]) -> dict:
                     "nodes": nodes,
                     "s": round(elapsed, 6),
                     "holds": holds(R, kind, d),
+                    "gaussian": len(_indecomposable_factors(R)) == 1 and _is_gaussian(R),
                 })
             print(f"d={d} ring {number}/{len(rings)} ({R.size} elements)", file=sys.stderr)
     return {"cap": cap, "degrees": degrees, "rings": len(rings), "scans": scans}
@@ -86,6 +99,10 @@ def disagreements(result: dict) -> int:
         print(f"verdict mismatch: ring {rec['ring'][:12]} {rec['kind']} d={rec['d']}: "
               f"scan witness {rec['witness']}, holds {rec['holds']}", file=sys.stderr)
     print(f"{len(result['scans'])} scans, {len(bad)} holds verdicts disagree with the scan", file=sys.stderr)
+    routed = [rec for rec in result["scans"] if rec["gaussian"] and rec["kind"] == PropertyKind.ARMENDARIZ.value]
+    replaced = sum(rec["witness"] is None for rec in routed)
+    print(f"{replaced} of {len(routed)} armendariz scans of local Gaussian rings hold, and the Gaussian route replaces them",
+          file=sys.stderr)
     return len(bad)
 
 

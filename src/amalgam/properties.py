@@ -243,6 +243,37 @@ def _indecomposable_factors(R: FiniteRing) -> tuple[FiniteRing, ...]:
     return ring_memo(R, "factors", compute)
 
 
+def _is_gaussian(R: FiniteRing) -> bool:
+    """Whether R is a commutative Gaussian ring (c(fg) = c(f)c(g) for the
+    ideals c of the coefficients), read as a local one.  A Gaussian ring is
+    Armendariz at every bound: fg = 0 gives c(f)c(g) = 0 (Anderson & Camillo,
+    Comm. Algebra 26, 1998).  A local ring is Gaussian iff for all a, b,
+    (a,b)^2 = (a^2) or (b^2), and (a,b)^2 = (a^2) with ab = 0 forces b^2 = 0
+    (Bazzoni & Glaz, J. Algebra 310, 2007, Thm 2.2); (a,b)^2 = (a^2) iff ab
+    and b^2 lie in a^2 R, the values of row a^2 of mul.  Callers ask only of
+    rings with one indecomposable factor, which are local when commutative.
+    """
+
+    def compute() -> bool:
+        if not is_commutative(R):
+            return False
+        mul, zero = R.mul, R.zero
+        squares = [mul[a][a] for a in range(R.size)]
+        ideal = {s: sum({1 << v for v in mul[s]}) for s in set(squares)}
+        for a, row in enumerate(mul):
+            by_a = ideal[squares[a]]
+            for b, ab in enumerate(row):
+                bb = squares[b]
+                if (by_a >> ab) & (by_a >> bb) & 1:
+                    if ab == zero and bb != zero:
+                        return False
+                elif not (ideal[bb] >> ab) & (ideal[bb] >> squares[a]) & 1:
+                    return False
+        return True
+
+    return ring_memo(R, "gaussian", compute)
+
+
 def _shortcut(R: FiniteRing, kind: PropertyKind, d: int, node_budget: Optional[int]) -> Optional[bool]:
     """kind's verdict on R at degree bound d without a scan of R, or None.
 
@@ -803,14 +834,17 @@ def get_report(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, no
 def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_budget: Optional[int] = None) -> bool:
     """Memoized verdict of get_report(R, kind, d), without a witness.
 
-    A polynomial kind tries the degree lift, then _shortcut, and scans R
-    through get_report only when neither decides.  A refutation at degree
-    d-1 padded with zeros refutes at degree d: the product coefficients are
-    the same plus zeros, and 0 lies in every constraint set.  So the lift
-    asks degree d-1 first and answers REFUTED from it with no degree-d
-    search.  Degree 0 never refutes, so the lift starts at d = 2.  A
-    lower-degree probe that runs out of budget falls back to the degree-d
-    query, so a budgeted query is never less decided than get_report.
+    A polynomial kind tries, in order, the memo, the degree lift, _shortcut
+    and the Gaussian route, and scans R through get_report only when none
+    decides.  A refutation at degree d-1 padded with zeros refutes at degree
+    d: the product coefficients are the same plus zeros, and 0 lies in every
+    constraint set.  So the lift asks degree d-1 first and answers REFUTED
+    from it with no degree-d search.  Degree 0 never refutes, so the lift
+    starts at d = 2.  A lower-degree probe that runs out of budget falls
+    back to the degree-d query, so a budgeted query is never less decided
+    than get_report.  The Gaussian route answers Armendariz HOLDS when
+    _shortcut leaves R whole and _is_gaussian(R); get_report and check_*
+    skip it and scan, so a check of a Gaussian ring is still a search.
     """
     key = ("holds", kind, d)
     verdict = _stored(R, key)
@@ -828,6 +862,8 @@ def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_bu
             shortcut = _shortcut(R, kind, d, node_budget)
             if shortcut is not None:
                 return shortcut
+            if kind is PropertyKind.ARMENDARIZ and _is_gaussian(R):
+                return True
         return get_report(R, kind, d, node_budget=node_budget).holds
 
     return ring_memo(R, key, compute)

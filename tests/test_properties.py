@@ -35,6 +35,7 @@ from amalgam.properties import (
     _Tables,
     _bits,
     _indecomposable_factors,
+    _is_gaussian,
     _kind_sets,
     _lex_leader_cut,
     _nil_is_ideal,
@@ -183,12 +184,12 @@ def test_refutation_monotone_in_degree(t2, m2):
 
 
 def test_lifted_verdicts_match_the_direct_search(small_rings):
-    """holds may answer from the degree lift, the nil ideal or the factor
-    split; every answer must still be the verdict of R's own direct scan,
-    each side computed from an empty memo, and each route must decide some
-    verdict.  Degree 3 only up to 4 elements: the nil scans of 8-element
-    rings take up to 1.6 s each there."""
-    decided = {"lift": 0, "nil ideal": 0, "factor split": 0}
+    """holds may answer from the degree lift, the nil ideal, the factor
+    split or the Gaussian route; every answer must still be the verdict of
+    R's own direct scan, each side computed from an empty memo, and each
+    route must decide some verdict.  Degree 3 only up to 4 elements: the
+    nil scans of 8-element rings take up to 1.6 s each there."""
+    decided = {"lift": 0, "nil ideal": 0, "factor split": 0, "gaussian": 0}
     for R in small_rings:
         queries = [(kind, d) for kind in POLY_KINDS for d in ((1, 2, 3) if R.size <= 4 else (1, 2))]
         clear_caches()
@@ -203,6 +204,8 @@ def test_lifted_verdicts_match_the_direct_search(small_rings):
                 decided["nil ideal"] += 1
             elif len(_indecomposable_factors(R)) > 1:
                 decided["factor split"] += 1
+            elif kind is PropertyKind.ARMENDARIZ and _is_gaussian(R):
+                decided["gaussian"] += 1
     clear_caches()
     assert all(decided.values()), decided
 
@@ -535,6 +538,74 @@ def test_swap_cut_keeps_every_witness_and_acts_only_on_commutative_rings(monkeyp
             named["holding amalgam" if R.digest() == holding else R.provenance] = (unswapped, nodes)
     assert all(full_walks.values()), full_walks
     assert {name: named[name] for name in SWAP_CUT_NODES} == SWAP_CUT_NODES
+
+
+def _gaussian_on_linear(R: FiniteRing) -> bool:
+    """c(fg) = c(f)c(g) for every f and g of degree at most 1, where c is
+    the ideal the coefficients generate: the sum of their principal
+    ideals.  c(fg) lies in c(f)c(g), so this asks whether every a_i*b_j
+    lies in c(fg)."""
+    add, mul = R.add, R.mul
+
+    @functools.cache
+    def ideal(gens: frozenset) -> frozenset:
+        out = {R.zero}
+        for g in gens:
+            out = {add[x][y] for x in out for y in set(mul[g])}
+        return frozenset(out)
+
+    for a0, a1, b0, b1 in itertools.product(range(R.size), repeat=4):
+        content = ideal(frozenset((mul[a0][b0], add[mul[a0][b1]][mul[a1][b0]], mul[a1][b1])))
+        if not {mul[a0][b0], mul[a0][b1], mul[a1][b0], mul[a1][b1]} <= content:
+            return False
+    return True
+
+
+def _z8_x2_is_4() -> FiniteRing:
+    """Z8[x]/(x^2 - 4, 2x): a + bx with a mod 8 and b mod 2, whose product
+    is (ac + 4bd) + (ad + bc)x.  Without its ab = 0 clause the Gaussian
+    criterion would call this ring Gaussian."""
+    pairs = [(a, b) for b in range(2) for a in range(8)]
+    index = {p: i for i, p in enumerate(pairs)}
+    add = [[index[(a + c) % 8, (b + d) % 2] for c, d in pairs] for a, b in pairs]
+    mul = [[index[(a * c + 4 * b * d) % 8, (a * d + b * c) % 2] for c, d in pairs] for a, b in pairs]
+    return FiniteRing.from_tables(add, mul, provenance="Z8[x]/(x^2-4,2x)")
+
+
+def test_gaussian_route_is_held_to_its_definition_and_to_the_scan(monkeypatch, small_rings):
+    """On every commutative indecomposable ring up to 16 elements, and on
+    three non-Gaussian local rings, _is_gaussian is the brute-force test
+    of c(fg) = c(f)c(g) on linear f and g; where it says True, the
+    Armendariz scans find nothing at degrees 1 and 2.  holds takes the
+    route with no scan, while check_armendariz, criterion 9's query, still
+    walks the whole degree-2 search of the Gaussian poly_quotient(zmod(2), 4)."""
+    armendariz = PropertyKind.ARMENDARIZ
+    declined = [poly_quotient(zmod(4), 2), poly_quotient(poly_quotient(zmod(2), 2), 2), _z8_x2_is_4()]
+    rings = [
+        R for R in _orbit_test_rings(small_rings) + declined
+        if R.size <= 16 and is_commutative(R) and len(_indecomposable_factors(R)) == 1
+    ]
+    assert all(R in rings for R in declined)
+    verdicts = {True: 0, False: 0}
+    for R in rings:
+        gaussian = _is_gaussian(R)
+        assert gaussian is _gaussian_on_linear(R), R.provenance
+        verdicts[gaussian] += 1
+        if gaussian:
+            for d in (1, 2):
+                assert _search_violation(R, d, *_kind_sets(R, armendariz), None)[0] is None, (R.provenance, d)
+    assert all(verdicts.values()), verdicts
+    assert not any(map(_is_gaussian, declined))
+    assert check_armendariz(declined[2], 1).verdict is Verdict.REFUTED
+    chain = poly_quotient(zmod(2), 4)
+    assert _is_gaussian(chain)
+    monkeypatch.setattr(properties, "_search_violation", None)
+    clear_caches()
+    assert holds(chain, armendariz, 2)
+    monkeypatch.undo()
+    clear_caches()
+    assert check_armendariz(chain, 2).pairs_examined == 21_163
+    clear_caches()
 
 
 def _kind_tests(R: FiniteRing, kind: PropertyKind):
