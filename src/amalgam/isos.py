@@ -56,15 +56,13 @@ def check_canonical_isos(am: AmalgamRing, faj: Optional[Embedding] = None) -> Is
     # {0} x J inside the amalgam: elements whose base coordinate is zero.
     k1 = tuple(idx for idx in range(ring.size) if am.decode[idx][0] == A.zero)
     q1, surj1 = quotient_ring(ring, Ideal(ring, k1))
-    reps1 = _coset_reps(surj1, q1.size)
-    map1 = [am.decode[rep][0] for rep in reps1]
+    map1 = [am.decode[surj1.index(q)][0] for q in range(q1.size)]
     ok1 = _is_isomorphism(map1, q1, A)
 
     # f^{-1}(J) x {0}: the kernel of the second projection.
     k2 = tuple(idx for idx in range(ring.size) if am.decode[idx][1] == B.zero)
     q2, surj2 = quotient_ring(ring, Ideal(ring, k2))
-    reps2 = _coset_reps(surj2, q2.size)
-    map2 = [faj.sub_index(am.decode[rep][1]) for rep in reps2]
+    map2 = [faj.sub_index(am.decode[surj2.index(q)][1]) for q in range(q2.size)]
     ok2 = _is_isomorphism(map2, q2, faj.ring)
 
     f = am.hom
@@ -82,10 +80,3 @@ def check_canonical_isos(am: AmalgamRing, faj: Optional[Embedding] = None) -> Is
         disjoint_iso=ok3,
     )
 
-
-def _coset_reps(surjection: Sequence[int], count: int) -> list[int]:
-    reps = [-1] * count
-    for x, q in enumerate(surjection):
-        if reps[q] == -1:
-            reps[q] = x
-    return reps

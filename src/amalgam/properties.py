@@ -193,10 +193,10 @@ class PropertyReport:
     coefficient, and f <= g on a commutative ring, since unit multiples,
     reversal, division by x and there the swap (g, f) map violating pairs
     to violating pairs).  It is the node count of R's own direct scan, 0
-    when a shortcut (nil ideal, factor split) confirmed the verdict, and is
-    in neither the harness report nor the check envelopes.  A REFUTED report
-    always takes its witness from R's own scan.  A report is a fact about a
-    table: rings with equal tables share one.
+    when a route of holds (nil ideal, factor split, Gaussian) confirmed the
+    verdict, and is in neither the harness report nor the check envelopes.
+    A REFUTED report always takes its witness from R's own scan.  A report
+    is a fact about a table: rings with equal tables share one.
     """
 
     kind: PropertyKind
@@ -272,28 +272,6 @@ def _is_gaussian(R: FiniteRing) -> bool:
         return True
 
     return ring_memo(R, "gaussian", compute)
-
-
-def _shortcut(R: FiniteRing, kind: PropertyKind, d: int, node_budget: Optional[int]) -> Optional[bool]:
-    """kind's verdict on R at degree bound d without a scan of R, or None.
-
-    When the nilpotents N form an ideal, R/N is reduced (x^k in N forces x in
-    N) and so Armendariz at every bound (Armendariz 1974).  Then f*g in N[x],
-    or f*g = 0, projects to a vanishing product in R/N, so every a_i*b_j lies
-    in N: nil-Armendariz and weak Armendariz hold with no search.  Every
-    polynomial kind splits across a direct product at any fixed bound: a
-    violating pair in a factor is one in R, and a violating pair in R
-    projects onto the factor where the offending product survives.  So R
-    holds exactly when every factor does, and one refuting factor refutes R.
-    """
-    if d < 0:
-        raise ValueError("degree bound must be non-negative")
-    if kind is not PropertyKind.ARMENDARIZ and _nil_is_ideal(R):
-        return True
-    factors = _indecomposable_factors(R)
-    if len(factors) == 1:
-        return None
-    return all(holds(piece, kind, d, node_budget=node_budget) for piece in factors)
 
 
 class _Tables:
@@ -749,16 +727,16 @@ def naive_poly_check(R: FiniteRing, kind: PropertyKind, d: int) -> tuple[Verdict
 # --------------------------------------------------------------------------
 # checkers
 
-def _poly_property_check(
+def _direct_scan(
     R: FiniteRing,
     kind: PropertyKind,
     d: int,
     node_budget: Optional[int],
 ) -> PropertyReport:
-    """A HOLDS report when _shortcut confirms kind, else R's own direct scan,
-    so a refutation's witness is the lex-minimal one in R's indexing."""
-    if _shortcut(R, kind, d, node_budget):
-        return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, 0)
+    """R's own direct scan, with no route and no memo, so a refutation's
+    witness is the lex-minimal one in R's indexing."""
+    if d < 0:
+        raise ValueError("degree bound must be non-negative")
     wit, examined = _search_violation(R, d, *_kind_sets(R, kind), node_budget)
     if wit is None:
         return PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, examined)
@@ -773,21 +751,21 @@ def check_armendariz(
     R: FiniteRing, d: int = 2, *, node_budget: Optional[int] = None
 ) -> PropertyReport:
     """Does f*g = 0 force every product of coefficients to vanish, for degrees <= d?"""
-    return _poly_property_check(R, PropertyKind.ARMENDARIZ, d, node_budget)
+    return _direct_scan(R, PropertyKind.ARMENDARIZ, d, node_budget)
 
 
 def check_nil_armendariz(
     R: FiniteRing, d: int = 2, *, node_budget: Optional[int] = None
 ) -> PropertyReport:
     """Does f*g having nilpotent coefficients force nilpotent coefficient products?"""
-    return _poly_property_check(R, PropertyKind.NIL_ARMENDARIZ, d, node_budget)
+    return _direct_scan(R, PropertyKind.NIL_ARMENDARIZ, d, node_budget)
 
 
 def check_weak_armendariz(
     R: FiniteRing, d: int = 2, *, node_budget: Optional[int] = None
 ) -> PropertyReport:
     """Does f*g = 0 force every product of coefficients to be nilpotent?"""
-    return _poly_property_check(R, PropertyKind.WEAK_ARMENDARIZ, d, node_budget)
+    return _direct_scan(R, PropertyKind.WEAK_ARMENDARIZ, d, node_budget)
 
 
 def check_reduced(R: FiniteRing) -> PropertyReport:
@@ -816,7 +794,13 @@ def check_semicommutative(R: FiniteRing) -> PropertyReport:
 # profiles and cached access
 
 def get_report(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_budget: Optional[int] = None) -> PropertyReport:
-    """Memoized property check; polynomial kinds require a degree bound."""
+    """Memoized property report; polynomial kinds require a degree bound.
+
+    A polynomial kind takes its verdict from holds.  A holding verdict
+    returns the report of holds' own scan of R when it made one, else a HOLDS
+    report with 0 nodes.  A refuted one returns R's own direct scan, so the
+    witness is the lex-minimal one in R's indexing whichever route refuted.
+    """
     poly = kind in POLY_KINDS
     if poly and d is None:
         raise ValueError("polynomial properties need a degree bound")
@@ -825,26 +809,36 @@ def get_report(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, no
     if report is not None:
         return report
     if poly:
-        return ring_memo(R, key, lambda: _poly_property_check(R, kind, d, node_budget))
+        if holds(R, kind, d, node_budget=node_budget):
+            return ring_memo(R, key, lambda: PropertyReport(kind, d, Verdict.HOLDS_UP_TO_BOUND, None, 0))
+        return ring_memo(R, key, lambda: _direct_scan(R, kind, d, node_budget))
     if kind is PropertyKind.REDUCED:
         return ring_memo(R, key, lambda: check_reduced(R))
     return ring_memo(R, key, lambda: check_semicommutative(R))
 
 
 def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_budget: Optional[int] = None) -> bool:
-    """Memoized verdict of get_report(R, kind, d), without a witness.
+    """Memoized verdict of kind on R, without a witness: the one place the
+    routes live.
 
-    A polynomial kind tries, in order, the memo, the degree lift, _shortcut
-    and the Gaussian route, and scans R through get_report only when none
-    decides.  A refutation at degree d-1 padded with zeros refutes at degree
-    d: the product coefficients are the same plus zeros, and 0 lies in every
-    constraint set.  So the lift asks degree d-1 first and answers REFUTED
-    from it with no degree-d search.  Degree 0 never refutes, so the lift
-    starts at d = 2.  A lower-degree probe that runs out of budget falls
-    back to the degree-d query, so a budgeted query is never less decided
-    than get_report.  The Gaussian route answers Armendariz HOLDS when
-    _shortcut leaves R whole and _is_gaussian(R); get_report and check_*
-    skip it and scan, so a check of a Gaussian ring is still a search.
+    A polynomial kind tries, in order, the memo, the degree lift, the nil
+    ideal, the factor split and the Gaussian route, and scans R only when
+    none decides; that scan's report is stored as get_report's.
+
+    Degree lift: a refutation at degree d-1 padded with zeros refutes at
+    degree d, since the product coefficients are the same plus zeros and 0
+    lies in every constraint set.  So degree d-1 is asked first, from d = 2
+    on (degree 0 never refutes).  A probe that runs out of budget falls
+    through to the later routes and the degree-d scan.  Nil ideal: when the
+    nilpotents N form an ideal, R/N is reduced (x^k in N forces x in N) and
+    so Armendariz at every bound (Armendariz 1974); then f*g in N[x], or
+    f*g = 0, projects to a vanishing product in R/N, so every a_i*b_j lies
+    in N and nil-Armendariz and weak Armendariz hold.  Factor split: every
+    polynomial kind splits across a direct product at any fixed bound, since
+    a violating pair in a factor is one in R, and a violating pair in R
+    projects onto the factor where the offending product survives; so R
+    holds exactly when every factor does.  Gaussian: Armendariz holds when R
+    has one indecomposable factor and _is_gaussian(R).
     """
     key = ("holds", kind, d)
     verdict = _stored(R, key)
@@ -852,19 +846,24 @@ def holds(R: FiniteRing, kind: PropertyKind, d: Optional[int] = None, *, node_bu
         return verdict
 
     def compute() -> bool:
-        if kind in POLY_KINDS and d is not None:
-            if d >= 2:
-                try:
-                    if not holds(R, kind, d - 1, node_budget=node_budget):
-                        return False
-                except SearchBudgetError:
-                    pass
-            shortcut = _shortcut(R, kind, d, node_budget)
-            if shortcut is not None:
-                return shortcut
-            if kind is PropertyKind.ARMENDARIZ and _is_gaussian(R):
-                return True
-        return get_report(R, kind, d, node_budget=node_budget).holds
+        if kind not in POLY_KINDS or d is None:
+            return get_report(R, kind, d, node_budget=node_budget).holds
+        if d < 0:
+            raise ValueError("degree bound must be non-negative")
+        if d >= 2:
+            try:
+                if not holds(R, kind, d - 1, node_budget=node_budget):
+                    return False
+            except SearchBudgetError:
+                pass
+        if kind is not PropertyKind.ARMENDARIZ and _nil_is_ideal(R):
+            return True
+        factors = _indecomposable_factors(R)
+        if len(factors) > 1:
+            return all(holds(piece, kind, d, node_budget=node_budget) for piece in factors)
+        if kind is PropertyKind.ARMENDARIZ and _is_gaussian(R):
+            return True
+        return ring_memo(R, (kind, d), lambda: _direct_scan(R, kind, d, node_budget)).holds
 
     return ring_memo(R, key, compute)
 

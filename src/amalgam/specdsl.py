@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 from .constructions import amalgamation, direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
 from .errors import InvalidRingError, NotAHomError, SearchBudgetError
-from .morphisms import Ideal, RingHom, enumerate_homs, generated_ideal, _propagate
+from .morphisms import Ideal, RingHom, enumerate_homs, generated_ideal, identity_hom, _propagate
 from .notation import LiteralError, _parse_rows, _split_top, _strip_outer, format_element, parse_element
 from .rings import FiniteRing
 
@@ -288,7 +288,7 @@ def _hom(model: SpecModel, ln: _Line) -> HomDecl:
     rhs_col = m.start(4) + 1
     if rhs == "canonical":
         if dom is cod:
-            candidates = [RingHom(dom, cod, tuple(range(dom.size)))]
+            candidates = [identity_hom(dom)]
         else:
             try:
                 candidates = enumerate_homs(dom, cod)

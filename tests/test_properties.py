@@ -240,6 +240,43 @@ def test_budgeted_lift_falls_back_to_the_degree_d_report(monkeypatch, m2):
     clear_caches()
 
 
+CHECKS = dict(zip(POLY_KINDS, (check_armendariz, check_nil_armendariz, check_weak_armendariz)))
+
+
+def test_reports_are_held_to_the_bare_scan(monkeypatch, small_rings):
+    """get_report takes its verdict from holds and scans only a refuted
+    ring, or reuses holds' own scan; from an empty memo its verdict and
+    witness must be those of R's own direct scan, which check_* run with no
+    route and no memo."""
+    routes = ("holds", "_nil_is_ideal", "_indecomposable_factors", "_is_gaussian")
+    for R in small_rings:
+        for kind, check in CHECKS.items():
+            for d in (1, 2):
+                clear_caches()
+                report = get_report(R, kind, d)
+                clear_caches()
+                wit = _search_violation(R, d, *_kind_sets(R, kind), None)[0]
+                for name in routes:
+                    monkeypatch.setattr(properties, name, None)
+                bare = check(R, d)
+                monkeypatch.undo()
+                assert bare.witness == (None if wit is None else PolyWitness(*wit)), (R.provenance, kind, d)
+                assert (report.verdict, report.witness) == (bare.verdict, bare.witness), (R.provenance, kind, d)
+                assert {(kind, d), ("holds", kind, d)}.isdisjoint(properties._MEMO.get(R.digest(), {})), R.provenance
+    clear_caches()
+
+
+@pytest.mark.parametrize("kind", POLY_KINDS, ids=lambda k: k.value)
+def test_negative_degree_bound_is_rejected(kind, z4):
+    """Z4's nilpotents form an ideal and Z4 is Gaussian, so a route that
+    answered before the guard would call every kind holding at d = -1."""
+    for query in (lambda: holds(z4, kind, -1), lambda: get_report(z4, kind, -1), lambda: CHECKS[kind](z4, -1)):
+        clear_caches()
+        with pytest.raises(ValueError, match="non-negative"):
+            query()
+    clear_caches()
+
+
 def test_degree_zero_never_refutes():
     """Constant polynomials cannot violate: the pair product is the constraint."""
     for R in ORACLE_RINGS_SMALL + ORACLE_RINGS_MEDIUM:
@@ -576,9 +613,10 @@ def test_gaussian_route_is_held_to_its_definition_and_to_the_scan(monkeypatch, s
     """On every commutative indecomposable ring up to 16 elements, and on
     three non-Gaussian local rings, _is_gaussian is the brute-force test
     of c(fg) = c(f)c(g) on linear f and g; where it says True, the
-    Armendariz scans find nothing at degrees 1 and 2.  holds takes the
-    route with no scan, while check_armendariz, criterion 9's query, still
-    walks the whole degree-2 search of the Gaussian poly_quotient(zmod(2), 4)."""
+    Armendariz scans find nothing at degrees 1 and 2.  holds and get_report
+    take the route with no scan, while check_armendariz, criterion 9's
+    query, still walks the whole degree-2 search of the Gaussian
+    poly_quotient(zmod(2), 4)."""
     armendariz = PropertyKind.ARMENDARIZ
     declined = [poly_quotient(zmod(4), 2), poly_quotient(poly_quotient(zmod(2), 2), 2), _z8_x2_is_4()]
     rings = [
@@ -602,6 +640,8 @@ def test_gaussian_route_is_held_to_its_definition_and_to_the_scan(monkeypatch, s
     monkeypatch.setattr(properties, "_search_violation", None)
     clear_caches()
     assert holds(chain, armendariz, 2)
+    clear_caches()
+    assert get_report(chain, armendariz, 2).verdict is Verdict.HOLDS_UP_TO_BOUND
     monkeypatch.undo()
     clear_caches()
     assert check_armendariz(chain, 2).pairs_examined == 21_163
