@@ -79,4 +79,3 @@ def check_canonical_isos(am: AmalgamRing, faj: Optional[Embedding] = None) -> Is
         disjoint_applicable=disjoint,
         disjoint_iso=ok3,
     )
-
