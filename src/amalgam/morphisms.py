@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotAHomError, NotAnIdealError, SearchBudgetError
-from .rings import FiniteRing, ring_closure, semicommutative_scan
+from .rings import FiniteRing, ring_closure, ring_memo, semicommutative_scan
 
 __all__ = [
     "Ideal",
@@ -57,11 +57,13 @@ class Ideal:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        defect = _ideal_defect(self.host, self.members)
+        members, size = self.members, self.host.size
+        if any(not 0 <= x < size for x in members) or any(x >= y for x, y in zip(members, members[1:])):
+            defect = "members must be strictly ascending elements of the ring"
+        else:
+            defect = _ideal_defect(self.host, members)
         if defect is not None:
-            raise NotAnIdealError(f"{list(self.members)} in {self.host.provenance}: {defect}")
-        if tuple(sorted(self.members)) != self.members:
-            raise NotAnIdealError("ideal members must be sorted ascending")
+            raise NotAnIdealError(f"{list(members)} in {self.host.provenance}: {defect}")
 
     @property
     def proper(self) -> bool:
@@ -86,43 +88,44 @@ class Ideal:
         return jpos, jpos[host.zero], jrows, jadd, jmul
 
 
-def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest two-sided ideal containing the generators.
+def _close_ideal(R: FiniteRing, base: Sequence[int], gens: Sequence[int]) -> tuple[int, ...]:
+    """Members of the least ideal holding the closed ideal base and gens.
 
-    Fixpoint closure under addition, negation, and one-sided multiples; with an
-    identity present this reaches every finite sum of r*x*s sandwiches.
+    A worklist closure: each new member x adds x + y for every member y, and
+    r*x and x*r for every r (-x = (-1)*x among them); with an identity this
+    reaches every finite sum of r*x*s sandwiches.
     """
-    add = R.add
-    mul = R.mul
-    current = {R.zero}
-    current.update(gens)
-    while True:
-        new = set()
-        elems = list(current)
-        for x in elems:
-            if R.neg[x] not in current:
-                new.add(R.neg[x])
-            for y in elems:
-                if add[x][y] not in current:
-                    new.add(add[x][y])
-            for r in range(R.size):
-                if mul[r][x] not in current:
-                    new.add(mul[r][x])
-                if mul[x][r] not in current:
-                    new.add(mul[x][r])
-        if not new:
-            break
-        current.update(new)
-    return Ideal(R, tuple(sorted(current)))
+    add, mul = R.add, R.mul
+    members, inside = list(base), set(base)
+    todo = [g for g in dict.fromkeys(gens) if g not in inside]
+    inside.update(todo)
+    for x in todo:
+        members.append(x)
+        ax = add[x]
+        new = {ax[y] for y in members}.union(mul[x], [row[x] for row in mul]) - inside
+        inside |= new
+        todo += new
+    return tuple(sorted(members))
+
+
+def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> Ideal:
+    """Smallest two-sided ideal containing the generators: the worklist
+    closure of {0} and gens.  A generator outside R raises NotAnIdealError."""
+    gens = (R.zero, *gens)
+    outside = [g for g in gens if not 0 <= g < R.size]
+    if outside:
+        raise NotAnIdealError(f"generator {outside[0]} is not an element of {R.provenance}")
+    return Ideal(R, _close_ideal(R, (), gens))
 
 
 def enumerate_ideals(R: FiniteRing) -> list[Ideal]:
     """All two-sided ideals, ordered by size then lexicographically by members.
 
-    Grows the ideal lattice from the zero ideal by adjoining one new generator
-    at a time, memoizing closures; complete because every ideal is reached by
-    adding its members in some order.  No efficiency claim beyond |R| <= 16;
-    rings above SEARCH_SIZE_CAP raise SearchBudgetError.
+    Grows the ideal lattice from the zero ideal: each ideal found is extended
+    by each element outside it, and the closure starts from its members, so
+    only the new element's sums and multiples are walked.  Complete because
+    every ideal is reached by adding its members in some order.  Rings above
+    SEARCH_SIZE_CAP raise SearchBudgetError.
     """
     if R.size > SEARCH_SIZE_CAP:
         raise SearchBudgetError(f"ideal enumeration capped at size {SEARCH_SIZE_CAP}, ring has {R.size}")
@@ -135,10 +138,10 @@ def enumerate_ideals(R: FiniteRing) -> list[Ideal]:
         for x in range(R.size):
             if x in base_set:
                 continue
-            ideal = generated_ideal(R, base + (x,))
-            if ideal.members not in seen:
-                seen[ideal.members] = ideal
-                frontier.append(ideal.members)
+            members = _close_ideal(R, base, (x,))
+            if members not in seen:
+                seen[members] = Ideal(R, members)
+                frontier.append(members)
     return sorted(seen.values(), key=lambda ideal: (len(ideal.members), ideal.members))
 
 
@@ -192,85 +195,93 @@ def identity_hom(R: FiniteRing) -> RingHom:
 
 def ring_generators(R: FiniteRing) -> tuple[int, ...]:
     """Greedy generating sequence beyond {0, 1}: repeatedly adjoin the smallest
-    element outside the current ring closure."""
-    gens: list[int] = []
-    known = ring_closure(R, (R.one,))
-    while len(known) < R.size:
-        x = min(i for i in range(R.size) if i not in known)
-        gens.append(x)
-        known = ring_closure(R, known | {x})
-    return tuple(gens)
+    element outside the current ring closure.  A fact of R's tables."""
+
+    def compute() -> tuple[int, ...]:
+        gens: list[int] = []
+        known = ring_closure(R, (R.one,))
+        while len(known) < R.size:
+            x = min(i for i in range(R.size) if i not in known)
+            gens.append(x)
+            known = ring_closure(R, known | {x})
+        return tuple(gens)
+
+    return ring_memo(R, "generators", compute)
 
 
-def _propagate(A: FiniteRing, B: FiniteRing, amap: dict[int, int]) -> Optional[dict[int, int]]:
-    """Close a partial map under + and * on its domain; None on conflict."""
+def _close_map(A: FiniteRing, B: FiniteRing, m: list[int], known: list[int], todo: list[int]) -> bool:
+    """Close the partial map m (-1 where unset) in place under + and *.
+
+    known lists the mapped elements whose sums and products are mapped
+    already; todo lists the other mapped elements.  Each x taken from todo
+    joins known and meets each y in it once (x+y, x*y, y*x); an element
+    newly mapped joins todo.  -x needs no step: it is a sum of copies of x.
+    False on a conflict, with m and known left part-way.
+    """
     addA, mulA = A.add, A.mul
     addB, mulB = B.add, B.mul
-    current = dict(amap)
-    changed = True
-    while changed:
-        changed = False
-        items = list(current.items())
-        for x, fx in items:
-            nx = A.neg[x]
-            fnx = B.neg[fx]
-            if current.get(nx, fnx) != fnx:
-                return None
-            if nx not in current:
-                current[nx] = fnx
-                changed = True
-            for y, fy in items:
-                s, fs = addA[x][y], addB[fx][fy]
-                if current.get(s, fs) != fs:
-                    return None
-                if s not in current:
-                    current[s] = fs
-                    changed = True
-                p, fp = mulA[x][y], mulB[fx][fy]
-                if current.get(p, fp) != fp:
-                    return None
-                if p not in current:
-                    current[p] = fp
-                    changed = True
-    return current
+    for x in todo:
+        fx = m[x]
+        known.append(x)
+        ax, mx, bax, bmx = addA[x], mulA[x], addB[fx], mulB[fx]
+        for y in known:
+            fy = m[y]
+            z, fz = ax[y], bax[fy]
+            v = m[z]
+            if v < 0:
+                m[z] = fz
+                todo.append(z)
+            elif v != fz:
+                return False
+            z, fz = mx[y], bmx[fy]
+            v = m[z]
+            if v < 0:
+                m[z] = fz
+                todo.append(z)
+            elif v != fz:
+                return False
+            z, fz = mulA[y][x], mulB[fy][fx]
+            v = m[z]
+            if v < 0:
+                m[z] = fz
+                todo.append(z)
+            elif v != fz:
+                return False
+    return True
 
 
 def enumerate_homs(A: FiniteRing, B: FiniteRing) -> list[RingHom]:
     """All unital homomorphisms A -> B, sorted by image table.
 
-    Backtracks over images of a generating set; the image of 1 is forced and
-    constraint propagation through additive and multiplicative words prunes
-    inconsistent branches early.  Rings above SEARCH_SIZE_CAP raise
-    SearchBudgetError.
+    Backtracks over images of ring_generators(A); the images of 0 and 1 are
+    forced.  Each candidate image of a generator is closed by _close_map from
+    the parent's closed map, so only pairs holding a newly mapped element are
+    examined, and a conflict prunes the branch.  Rings above SEARCH_SIZE_CAP
+    raise SearchBudgetError.
     """
     if A.size > SEARCH_SIZE_CAP or B.size > SEARCH_SIZE_CAP:
         raise SearchBudgetError(f"hom enumeration capped at size {SEARCH_SIZE_CAP}")
     gens = ring_generators(A)
-    seed = _propagate(A, B, {A.zero: B.zero, A.one: B.one})
     results: list[RingHom] = []
-    if seed is None:
-        return results
 
-    def descend(level: int, amap: dict[int, int]) -> None:
+    def descend(level: int, m: list[int], known: list[int], todo: list[int]) -> None:
+        if not _close_map(A, B, m, known, todo):
+            return
+        # m now maps the ring that 1 and gens[:level] generate: all of A at the
+        # last level, and never gens[level] before it.
         if level == len(gens):
-            if len(amap) == A.size:
-                try:
-                    results.append(RingHom(A, B, tuple(amap[x] for x in range(A.size))))
-                except NotAHomError:
-                    pass
+            results.append(RingHom(A, B, tuple(m)))
             return
         g = gens[level]
-        if g in amap:
-            descend(level + 1, amap)
-            return
         for img in range(B.size):
-            trial = dict(amap)
+            trial = m[:]
             trial[g] = img
-            closed = _propagate(A, B, trial)
-            if closed is not None:
-                descend(level + 1, closed)
+            descend(level + 1, trial, known[:], [g])
 
-    descend(0, seed)
+    seed = [-1] * A.size
+    seed[A.zero] = B.zero
+    seed[A.one] = B.one
+    descend(0, seed, [], sorted({A.zero, A.one}))
     results.sort(key=lambda h: h.map)
     return results
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 from .constructions import amalgamation, direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
 from .errors import InvalidRingError, NotAHomError, SearchBudgetError
-from .morphisms import Ideal, RingHom, enumerate_homs, generated_ideal, identity_hom, _propagate
+from .morphisms import Ideal, RingHom, enumerate_homs, generated_ideal, identity_hom, _close_map
 from .notation import LiteralError, _parse_rows, _split_top, _strip_outer, format_element, parse_element
 from .rings import FiniteRing
 
@@ -316,22 +316,23 @@ def _hom(model: SpecModel, ln: _Line) -> HomDecl:
             pairs.append((parse_element(dom, sides[0]), parse_element(cod, sides[1]), col))
         except LiteralError as exc:
             raise _Problem((col, "CONSTRAINT", str(exc)))
-    amap = {dom.zero: cod.zero, dom.one: cod.one}
+    closed = [-1] * dom.size
+    closed[dom.zero] = cod.zero
+    closed[dom.one] = cod.one
     for x, y, col in pairs:
-        if amap.get(x, y) != y:
+        if closed[x] not in (-1, y):
             raise _Problem((col, "CONSTRAINT", f"conflicting images for element {format_element(dom, x)}"))
-        amap[x] = y
-    closed = _propagate(dom, cod, amap)
-    if closed is None:
+        closed[x] = y
+    if not _close_map(dom, cod, closed, [], [x for x in range(dom.size) if closed[x] >= 0]):
         raise _Problem((ln.col0, "CONSTRAINT", "the given images are inconsistent with + and *"))
-    missing = [x for x in range(dom.size) if x not in closed]
+    missing = [x for x in range(dom.size) if closed[x] < 0]
     if missing:
         raise _Problem((
             ln.col0, "CONSTRAINT",
             f"the map does not determine the image of {format_element(dom, missing[0])}; add a mapping for it",
         ))
     try:
-        model.homs[name] = RingHom(dom, cod, tuple(closed[x] for x in range(dom.size)))
+        model.homs[name] = RingHom(dom, cod, tuple(closed))
     except NotAHomError as exc:
         v = exc.violation
         raise _Problem((ln.col0, "CONSTRAINT", f"the completed map is not a homomorphism: breaks {v.law} at {v.witness}"))

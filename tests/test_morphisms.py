@@ -1,13 +1,18 @@
 """Ideals and homomorphisms: validation, generation, enumeration, transport."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from amalgam.constructions import direct_product, matrix_ring, upper_triangular, zmod
+from amalgam.constructions import direct_product, matrix_ring, poly_quotient, upper_triangular, zmod
 from amalgam.errors import NotAHomError, NotAnIdealError, SearchBudgetError, SizeBudgetError
 from amalgam.morphisms import (
+    SEARCH_SIZE_CAP,
     Ideal,
     RingHom,
+    _hom_defect,
+    _ideal_defect,
     enumerate_homs,
     enumerate_ideals,
     generated_ideal,
@@ -26,6 +31,11 @@ def test_ideal_rejects_non_ideals(z4):
         Ideal(z4, (0, 3))
     with pytest.raises(NotAnIdealError):
         Ideal(z4, (2, 0))  # unsorted
+    for members in [(0, 2, 2), (0, 9), (-1, 0)]:  # repeated, past the end, negative
+        with pytest.raises(NotAnIdealError, match="strictly ascending elements"):
+            Ideal(z4, members)
+    with pytest.raises(NotAnIdealError, match="generator 7 is not an element"):
+        generated_ideal(z4, [7])
 
 
 def test_generated_ideal_of_two_in_z4(z4):
@@ -150,3 +160,115 @@ def test_size_caps_raise_budget_errors():
         direct_product(zmod(16), zmod(17))
     with pytest.raises(SearchBudgetError):
         enumerate_ideals(zmod(65))
+
+
+def test_enumerate_homs_is_held_to_every_map():
+    """Where |B|^|A| <= 10^5, the homs are exactly the maps A -> B that pass
+    _hom_defect, in the same order."""
+    rings = [zmod(2), zmod(3), zmod(4), poly_quotient(zmod(2), 2), direct_product(zmod(2), zmod(2)), zmod(6)]
+    rings += [upper_triangular(zmod(2), 2), matrix_ring(zmod(2), 2)]
+    pairs = [(A, B) for A in rings for B in rings if B.size**A.size <= 10**5]
+    assert len(pairs) == 52
+    found = 0
+    for A, B in pairs:
+        every = [m for m in itertools.product(range(B.size), repeat=A.size) if _hom_defect(A, B, m) is None]
+        assert [f.map for f in enumerate_homs(A, B)] == every
+        found += len(every)
+    assert found == 57
+
+
+def _repeated_pass_propagate(A, B, amap):
+    """Close a partial map under + and * on its domain; None on conflict."""
+    addA, mulA = A.add, A.mul
+    addB, mulB = B.add, B.mul
+    current = dict(amap)
+    changed = True
+    while changed:
+        changed = False
+        items = list(current.items())
+        for x, fx in items:
+            nx = A.neg[x]
+            fnx = B.neg[fx]
+            if current.get(nx, fnx) != fnx:
+                return None
+            if nx not in current:
+                current[nx] = fnx
+                changed = True
+            for y, fy in items:
+                s, fs = addA[x][y], addB[fx][fy]
+                if current.get(s, fs) != fs:
+                    return None
+                if s not in current:
+                    current[s] = fs
+                    changed = True
+                p, fp = mulA[x][y], mulB[fx][fy]
+                if current.get(p, fp) != fp:
+                    return None
+                if p not in current:
+                    current[p] = fp
+                    changed = True
+    return current
+
+
+def _repeated_pass_homs(A, B):
+    """enumerate_homs over the repeated-pass closure, which re-closes the
+    whole parent map for each candidate image."""
+    if A.size > SEARCH_SIZE_CAP or B.size > SEARCH_SIZE_CAP:
+        raise SearchBudgetError(f"hom enumeration capped at size {SEARCH_SIZE_CAP}")
+    gens = ring_generators(A)
+    seed = _repeated_pass_propagate(A, B, {A.zero: B.zero, A.one: B.one})
+    results: list[RingHom] = []
+    if seed is None:
+        return results
+
+    def descend(level: int, amap: dict[int, int]) -> None:
+        if level == len(gens):
+            if len(amap) == A.size:
+                try:
+                    results.append(RingHom(A, B, tuple(amap[x] for x in range(A.size))))
+                except NotAHomError:
+                    pass
+            return
+        g = gens[level]
+        if g in amap:
+            descend(level + 1, amap)
+            return
+        for img in range(B.size):
+            trial = dict(amap)
+            trial[g] = img
+            closed = _repeated_pass_propagate(A, B, trial)
+            if closed is not None:
+                descend(level + 1, closed)
+
+    descend(0, seed)
+    results.sort(key=lambda h: h.map)
+    return results
+
+
+def test_enumerate_homs_matches_the_repeated_pass_closure(corpus):
+    """On all 841 corpus pairs the worklist closure finds the homs the
+    repeated-pass closure finds."""
+    rings = [R for _, R in corpus]
+    homs = 0
+    for A in rings:
+        for B in rings:
+            reference = [f.map for f in _repeated_pass_homs(A, B)]
+            assert [f.map for f in enumerate_homs(A, B)] == reference, (A, B)
+            homs += len(reference)
+    assert (len(rings) ** 2, homs) == (841, 1001)
+
+
+def test_ideal_closure_is_held_to_every_subset(corpus):
+    """On the corpus rings of at most 12 elements, the ideal lattice is every
+    member set that passes _ideal_defect, and the ideal generated by no, one
+    or two elements is the least of them holding the generators."""
+    small = [R for _, R in corpus if R.size <= 12]
+    assert len(small) == 20 and any(R.structure[0] == "upper" for R in small)
+    for R in small:
+        subsets = (tuple(x for x in range(R.size) if mask >> x & 1) for mask in range(1 << R.size))
+        ideals = [members for members in subsets if _ideal_defect(R, members) is None]
+        assert [J.members for J in enumerate_ideals(R)] == sorted(ideals, key=lambda m: (len(m), m))
+        for k in (0, 1, 2):
+            for gens in itertools.combinations(range(R.size), k):
+                least = set.intersection(*[set(m) for m in ideals if set(gens) <= set(m)])
+                assert generated_ideal(R, gens).members == tuple(sorted(least)), (R, gens)

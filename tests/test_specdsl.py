@@ -207,11 +207,20 @@ def test_hom_map_completion_and_conflicts():
     under = parse_spec("ring A = zmod 2\nring P = product(A, A)\nhom h : P -> P = map { }\n")
     assert any("does not determine" in d.message for d in under.diagnostics)
 
+    inconsistent = [("CONSTRAINT", "the given images are inconsistent with + and *")]
     conflict = parse_spec(
         "ring A = zmod 2\nring P = product(A, A)\n"
         "hom j : P -> P = map { (0,1) -> (1,1), (1,0) -> (1,1) }\n"
     )
-    assert any(d.code == "CONSTRAINT" for d in conflict.diagnostics)
+    assert [(d.code, d.message) for d in conflict.diagnostics] == inconsistent
+
+    # t -> 1 extends to a + b*t -> a + b, which respects + but not t*t = 0, so
+    # only a product shows the conflict, not the completed-map check.
+    product_only = parse_spec("ring B = zmod 2\nring Q = polyquot(B, 2)\nhom h : Q -> Q = map { t -> 1 }\n")
+    assert [(d.code, d.message) for d in product_only.diagnostics] == inconsistent
+    Q, image = product_only.rings["Q"], [0, 2, 2, 0]  # 0, t, 1, 1 + t go to 0, 1, 1, 0; 1 is index 2
+    assert all(image[Q.add[x][y]] == Q.add[image[x]][image[y]] for x in range(4) for y in range(4))
+    assert image[Q.mul[1][1]] != Q.mul[image[1]][image[1]]
 
     dupimg = parse_spec(
         "ring A = zmod 2\nring P = product(A, A)\n"
