@@ -214,9 +214,15 @@ def _close_map(A: FiniteRing, B: FiniteRing, m: list[int], known: list[int], tod
 
     known lists the mapped elements whose sums and products are mapped
     already; todo lists the other mapped elements.  Each x taken from todo
-    joins known and meets each y in it once (x+y, x*y, y*x); an element
-    newly mapped joins todo.  -x needs no step: it is a sum of copies of x.
-    False on a conflict, with m and known left part-way.
+    joins known and meets each y in it once (x+y, x*y); an element newly
+    mapped joins todo.  False on a conflict, with m and known left part-way.
+
+    No step maps -x or y*x.  Once todo runs out, the mapped set S is closed
+    under + and so an additive group (-x is a sum of copies of x), m is
+    additive on S, and for x met after y, S holds x*y, x^2 and y^2 with m
+    multiplicative there.  So y*x = (x+y)^2 - x^2 - y^2 - x*y lies in S and
+    m(y*x) = m(y)*m(x).  Every image set is forced by the seeds, so a y*x
+    step would change neither the closed map nor the result.
     """
     addA, mulA = A.add, A.mul
     addB, mulB = B.add, B.mul
@@ -234,13 +240,6 @@ def _close_map(A: FiniteRing, B: FiniteRing, m: list[int], known: list[int], tod
             elif v != fz:
                 return False
             z, fz = mx[y], bmx[fy]
-            v = m[z]
-            if v < 0:
-                m[z] = fz
-                todo.append(z)
-            elif v != fz:
-                return False
-            z, fz = mulA[y][x], mulB[fy][fx]
             v = m[z]
             if v < 0:
                 m[z] = fz

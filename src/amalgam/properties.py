@@ -12,7 +12,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InternalInvariantError, SearchBudgetError
 from .morphisms import _ideal_defect
@@ -284,13 +284,14 @@ class _Tables:
     mask[a][p], the same b as a bitmask, are built by row(a) on first read
     and are None until then: a refuting degree-1 scan stops after a few
     heads, so it reads a few of the n rows.  p + a*b is in sc exactly when
-    a*b = s - p for an s in sc, so a row groups b by the value of a*b and
-    joins the groups of those values.  The tables are per search and never
-    memoized: scans seldom repeat a (ring, sc) pair, so stored tables would
-    cost memory for no reuse.
+    a*b = s - p for an s in sc, so a row groups the b in coeffs (all of R
+    unless a scan's cut narrows it) by a*b and joins the groups of those
+    values (for sc = {0}, the group of -p).  The tables are per search and
+    never memoized: scans seldom repeat a (ring, sc) pair, so stored tables
+    would cost memory for no reuse.
     """
 
-    __slots__ = ("close", "bad", "cand", "mask", "_mul", "_wanted")
+    __slots__ = ("close", "bad", "cand", "mask", "coeffs", "_mul", "_neg", "_wanted")
 
     def __init__(self, R: FiniteRing, sc: frozenset, sv: frozenset) -> None:
         n = R.size
@@ -301,9 +302,10 @@ class _Tables:
             self.bad = [full ^ m for m in self.close]
         else:
             self.bad = [full ^ sum(itertools.compress(bits, map(sv.__contains__, row))) for row in R.mul]
-        add, neg, targets = R.add, R.neg, sorted(sc)
-        self._wanted = [[add[s][neg[p]] for s in targets] for p in range(n)]
-        self._mul = R.mul
+        add, neg = R.add, R.neg
+        self._wanted = None if sc == {R.zero} else [[add[s][neg[p]] for s in sorted(sc)] for p in range(n)]
+        self._mul, self._neg = R.mul, neg
+        self.coeffs: Sequence[int] = range(n)
         self.cand: list = [None] * n
         self.mask: list = [None] * n
 
@@ -313,13 +315,14 @@ class _Tables:
             n = len(self._mul)
             groups: list[list[int]] = [[] for _ in range(n)]
             bits = [0] * n
-            for b, v in enumerate(self._mul[a]):
+            mul_a = self._mul[a]
+            for b in self.coeffs:
+                v = mul_a[b]
                 groups[v].append(b)
                 bits[v] |= 1 << b
-            if len(self._wanted[0]) == 1:
-                # sc = {0} (armendariz, weak): each p takes one group
-                self.cand[a] = [tuple(groups[v]) for (v,) in self._wanted]
-                self.mask[a] = [bits[v] for (v,) in self._wanted]
+            if self._wanted is None:
+                self.cand[a] = [tuple(groups[v]) for v in self._neg]
+                self.mask[a] = [bits[v] for v in self._neg]
             else:
                 # the groups of distinct values are disjoint, so sum is union
                 self.cand[a] = [tuple(sorted(itertools.chain.from_iterable([groups[v] for v in vs]))) for vs in self._wanted]
@@ -337,15 +340,16 @@ def _bits(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int]:
+def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
     """The least element of each orbit {x*u : u a unit} of R, ascending, and
-    the same set as a bitmask.
+    the same set as a bitmask; then the non-units, ascending and as a
+    bitmask.
 
     Right multiplication by the unit group partitions R, and walking R in
     ascending order meets each orbit first at its least element.
     """
 
-    def compute() -> tuple[tuple[int, ...], int]:
+    def compute() -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
         us = sorted(units(R))
         reps = []
         seen = 0
@@ -355,28 +359,30 @@ def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int]:
                 row = R.mul[x]
                 for u in us:
                     seen |= 1 << row[u]
-        return tuple(reps), sum(1 << x for x in reps)
+        nonunit_mask = ((1 << R.size) - 1) ^ sum(1 << u for u in us)
+        return tuple(reps), sum(1 << x for x in reps), _bits(nonunit_mask), nonunit_mask
 
     return ring_memo(R, "unit_orbits", compute)
 
 
 def _lex_leader_cut(
     R: FiniteRing, sc: frozenset, sv: frozenset, close: list
-) -> tuple[Iterator[tuple[int, tuple[int, ...]]], tuple[int, ...], list, bool]:
-    """What the scans walk, as (heads, leads, tails, swap).
+) -> tuple[Iterator[tuple[int, tuple[int, ...]]], Sequence[int], dict, bool]:
+    """What the scans walk, as (heads, coeffs, tails, swap).
 
-    leads are the values f's first nonzero coefficient a_k takes: the least
-    element of each unit orbit, ascending (zero is an orbit of its own).
-    tails[x] are the values f's last coefficient a_d takes after a first
-    nonzero coefficient x with k < d: x, x+1, ..., n-1; tails[zero], for f
-    whose earlier coefficients are all zero, is leads.  heads pairs each a0
-    in leads with the b0 it walks, the set bits of close[a0] (the b with
-    a0*b in sc), as each scan reaches it; when sc and sv are both {0} the b0
-    are cut to leads, and so is each later b_k short of the last whose
-    predecessors are all zero, which leaves the same level.  swap says
-    whether R is commutative; then the scans walk only g >= f: b0 starts at
-    a0, each later b_k at a_k while g ties f, and on the last coefficient
-    the mask keeps the bits >= a_d.
+    coeffs are the values any coefficient takes, ascending: all of R, or
+    its non-units under the McCoy cut; the scans build their rows over them.
+    leads = tails[zero] are the values f's first nonzero coefficient a_k
+    takes: the least element of each unit orbit in coeffs (zero is an orbit
+    of its own).  tails[x], for x in leads, are the coeffs from x on, the
+    values f's last coefficient takes after a first nonzero a_k = x, k < d.
+    heads pairs each a0 in leads with the b0 it walks, the bits of close[a0]
+    (the b with a0*b in sc) in coeffs, as each scan reaches it; when sc and
+    sv are both {0} the b0 are cut to leads, and so is each later b_k short
+    of the last whose predecessors are all zero, which leaves the same
+    level.  swap says whether R is commutative; then the scans walk only
+    g >= f: b0 starts at a0, each later b_k at a_k while g ties f, and on
+    the last coefficient the mask keeps the bits >= a_d.
 
     Three maps send a violating pair (f, g) to a violating pair: (f*u,
     u^-1*g) for a unit u keeps every product coefficient and cross product;
@@ -392,17 +398,26 @@ def _lex_leader_cut(
     (g, f), keeps the product coefficients (gf = fg) and the cross products
     (b_j*a_i = a_i*b_j), so the lex-first violation has f <= g.  The cut
     walk keeps its lex order, so it finds the first witness of the full
-    walk.  The level of g's last coefficient is never cut, only masked: the
-    unrolled scans take its lowest valid bit, and every scan counts it
-    whole.  Disabling every cut means replacing this one function.
+    walk.  The level of g's last coefficient is never cut by a map, only
+    masked: the unrolled scans take its lowest valid bit, and every scan
+    counts it whole.  The McCoy cut, on a commutative ring with sc = {0}: a
+    violating pair has fg = 0, f != 0 and g != 0, so some c != 0 kills every
+    coefficient of f (McCoy, Amer. Math. Monthly 49, 1942), and none is a
+    unit; gf = 0 does the same for g.  Disabling every cut means replacing
+    this one function.
     """
-    reps, rep_mask = _unit_orbit_reps(R)
-    n, zero = R.size, R.zero
-    tails: list = [range(x, n) for x in range(n)]
-    tails[zero] = reps
+    reps, rep_mask, nonunits, nonunit_mask = _unit_orbit_reps(R)
+    zero = R.zero
+    swap = is_commutative(R)
+    coeffs: Sequence[int] = range(R.size)
     cut = rep_mask if sc == sv == {zero} else -1
+    if swap and sc == {zero}:
+        coeffs, cut = nonunits, cut & nonunit_mask
+        reps = tuple(x for x in reps if (nonunit_mask >> x) & 1)
+    tails = {x: coeffs[bisect_left(coeffs, x) :] for x in reps}
+    tails[zero] = reps
     heads = ((a0, _bits(close[a0] & cut)) for a0 in reps)
-    return heads, reps, tails, is_commutative(R)
+    return heads, coeffs, tails, swap
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +457,6 @@ def _scan_block_generic(
     do; tied says g's coefficients so far equal f's, which the swap cut
     needs.
     """
-    n = R.size
     tables = _Tables(R, sc, sv)
     bad = [sum([1 << b for b, p in enumerate(row) if p not in sv]) for row in R.mul]
     add, mul = R.add, R.mul
@@ -451,8 +465,9 @@ def _scan_block_generic(
     g = [0] * (d + 1)
     pend = [zero] * (2 * d + 1)
     state = {"nodes": 0, "fbad": 0, "level0": (), "cand0": []}
-    heads, leads, tails, swap = _lex_leader_cut(R, sc, sv, tables.close)
-    lead_set = set(leads)
+    heads, coeffs, tails, swap = _lex_leader_cut(R, sc, sv, tables.close)
+    tables.coeffs = coeffs
+    lead_set = set(tails[zero])
 
     def descend(k: int, flag: int, g_zero: bool, tied: bool) -> bool:
         fbad = state["fbad"]
@@ -492,12 +507,11 @@ def _scan_block_generic(
                 pend[k + 1 : k + d + 1] = saved
         return False
 
-    rng = range(n)
     for a0, level0 in heads:
         fb0 = bad[a0]
         state["level0"] = level0
         state["cand0"] = tables.row(a0)[0]
-        for rest in itertools.product(rng, repeat=d):
+        for rest in itertools.product(coeffs, repeat=d):
             fc = (a0, *rest)
             lead = next((a for a in fc[:d] if a != zero), zero)
             if lead not in lead_set or fc[d] not in tails[lead]:
@@ -527,12 +541,14 @@ def _scan_block_d1(
     mask[a0][a1*b0] & close[a1], narrowed to fbad unless b0 already makes
     the leaf bad, and the lowest set bit is the lex-first witness.  nodes
     still adds the whole candidate level, so the count is the generic one.
-    Only the rows of the heads the walk reaches are built.  On a commutative
-    ring b0 starts at a0, and when b0 = a0 (tie0) the mask keeps b1 >= a1.
+    Only the rows of the heads the walk reaches are built, over the cut's
+    coeffs.  On a commutative ring b0 starts at a0, and when b0 = a0 (tie0)
+    the mask keeps b1 >= a1.
     """
     tables = _Tables(R, sc, sv)
     close, bad = tables.close, tables.bad
-    heads, _, tails, swap = _lex_leader_cut(R, sc, sv, close)
+    heads, coeffs, tails, swap = _lex_leader_cut(R, sc, sv, close)
+    tables.coeffs = coeffs
     mul = R.mul
     nodes = 0
     for a0, level0 in heads:
@@ -576,22 +592,23 @@ def _scan_block_d2(
     fbad unless b0 or b1 already makes the leaf bad.  With b0 = 0, b1's
     level cand[a0][0] is the level of b0 before the swap cut, cut the same
     way.  On a commutative ring b0 starts at a0, b1 at a1 when b0 = a0, and
-    the mask keeps b2 >= a2 when b1 = a1 too (tie1).  A row is built when
-    the walk first reads it, with no call on later reads.
+    the mask keeps b2 >= a2 when b1 = a1 too (tie1).  a1 runs over the
+    cut's coeffs, and a row over them is built when the walk first reads
+    it, with no call on later reads.
     """
     tables = _Tables(R, sc, sv)
     close, bad, mask = tables.close, tables.bad, tables.mask
-    heads, leads, tails, swap = _lex_leader_cut(R, sc, sv, close)
+    heads, coeffs, tails, swap = _lex_leader_cut(R, sc, sv, close)
+    tables.coeffs = coeffs
     add, mul = R.add, R.mul
     zero = R.zero
     nodes = 0
-    rng = range(R.size)
     for a0, level0 in heads:
         fb0 = bad[a0]
         cand0, mask0 = tables.row(a0)
         tie0 = a0 if swap else -1
         walk0 = level0[bisect_left(level0, tie0) :]
-        for a1 in rng if a0 != zero else leads:
+        for a1 in coeffs if a0 != zero else tails[zero]:
             fb01 = fb0 | bad[a1]
             mul1 = mul[a1]
             mask1 = mask[a1] or tables.row(a1)[1]

@@ -338,13 +338,16 @@ def test_route_facts_do_not_keep_their_ring_alive():
 
 def test_unit_orbit_reps_are_a_transversal(small_rings):
     """Ascending, each least in its orbit {r*u : u a unit}, and every element
-    is r*u for exactly one representative r; units found by brute force."""
+    is r*u for exactly one representative r; the non-units beside them are
+    the complement of the units; units found by brute force."""
     for R in small_rings:
         rng = range(R.size)
         us = [u for u in rng if any(R.mul[u][v] == R.one == R.mul[v][u] for v in rng)]
-        reps, rep_mask = _unit_orbit_reps(R)
+        reps, rep_mask, nonunits, nonunit_mask = _unit_orbit_reps(R)
         assert list(reps) == sorted(set(reps)), R.provenance
         assert rep_mask == sum(1 << r for r in reps), R.provenance
+        assert nonunits == tuple(x for x in rng if x not in us), R.provenance
+        assert nonunit_mask == sum(1 << x for x in nonunits), R.provenance
         owners = {x: [] for x in rng}
         for r in reps:
             orbit = {R.mul[r][u] for u in us}
@@ -357,8 +360,8 @@ def test_unit_orbit_reps_are_a_transversal(small_rings):
 def test_orbit_cut_keeps_the_criterion_9_witness_and_walks_less():
     """The unreduced walk of this check examined 130,800 nodes, the walk
     cut by unit orbits alone 74,155, the walk with the reversal and
-    leading-zero cuts too 43,010, and the walk with the swap cut too
-    21,163."""
+    leading-zero cuts too 43,010, the walk with the swap cut too 21,163,
+    and the walk with the McCoy cut too 5,477."""
     report = check_armendariz(poly_quotient(zmod(2), 4), 2)
     assert report.verdict is Verdict.HOLDS_UP_TO_BOUND and report.witness is None
     assert report.pairs_examined < 43_010
@@ -467,7 +470,8 @@ def test_orbit_cut_scans_find_the_lex_first_witness_of_the_full_walk(small_rings
 
 def _uncut(R: FiniteRing, sc: frozenset, sv: frozenset, close: list):
     """_lex_leader_cut with every cut disabled: every a0 with every b0, every
-    value for a lead coefficient and for f's last coefficient, and no swap."""
+    value for every coefficient, among them a lead one and f's last one,
+    and no swap."""
     n = R.size
     return [(a, _bits(close[a])) for a in range(n)], tuple(range(n)), [range(n)] * n, False
 
@@ -476,7 +480,9 @@ def test_orbit_cut_scans_match_the_uncut_walk(monkeypatch, small_rings):
     """At degrees 1 and 2 up to 16 elements, and through the generic scan
     at degree 3 up to 4 elements, the cut scans find the witness of the same
     scans walking every f and g, in no more nodes, and in fewer on some
-    rings at each degree."""
+    rings at each degree.  Uncut, criterion 9's check walks all 130,800
+    nodes of its unreduced walk, so _uncut turns off every cut, the McCoy
+    cut included."""
     rings = [R for R in _orbit_test_rings(small_rings) if R.size <= 16]
     scans = [
         (1, _scan_block_d1),
@@ -498,6 +504,31 @@ def test_orbit_cut_scans_match_the_uncut_walk(monkeypatch, small_rings):
         assert wit == want and nodes <= full, (R.provenance, kind, d)
         shrunk[d] += nodes < full
     assert all(shrunk.values()), shrunk
+    assert check_armendariz(poly_quotient(zmod(2), 4), 2).pairs_examined == 130_800
+
+
+def test_mccoy_cut_drops_no_violating_pair(small_rings):
+    """On a commutative ring, a pair with f*g = 0 and a cross product
+    outside {0}, and so outside every target set, has no unit coefficient:
+    the pairs the McCoy cut drops are never violating.  Held to the naive
+    stream of every commutative ring of _orbit_test_rings with one
+    indecomposable factor, at degree 1 up to 16 elements and at degree 2 up
+    to 8, with units found by brute force.  A pair over a product of rings
+    is a pair over each factor, with a unit coefficient in each and a
+    nonzero cross product in one, so the claim for a product follows from
+    its factors."""
+    checked = {1: 0, 2: 0}
+    for R in _orbit_test_rings(small_rings):
+        if not is_commutative(R) or len(_indecomposable_factors(R)) > 1:
+            continue
+        rng, mul, zero = range(R.size), R.mul, R.zero
+        us = {u for u in rng if R.one in mul[u]}
+        for d in (1, 2) if R.size <= 8 else (1,) if R.size <= 16 else ():
+            for f, g in naive_annihilating_pairs(R, d, {zero}):
+                if us.intersection(f.coeffs + g.coeffs):
+                    assert all(mul[a][b] == zero for a in f.coeffs for b in g.coeffs), (R.provenance, f, g)
+                    checked[d] += 1
+    assert all(checked.values()), checked
 
 
 def test_commutativity_is_one_memo_fact_held_to_its_definition(monkeypatch, small_rings):
@@ -533,11 +564,13 @@ def test_commutativity_is_one_memo_fact_held_to_its_definition(monkeypatch, smal
     assert digest not in properties._MEMO
 
 
-# d = 2 armendariz node counts of full walks, without and with the swap cut
+# d = 2 armendariz node counts of full walks, without and with the swap cut;
+# before the McCoy cut they were (110_312, 60_264), (43_010, 21_163) and
+# (80_198, 42_584)
 SWAP_CUT_NODES = {
-    "holding amalgam": (110_312, 60_264),
-    "polyquot(zmod(2),4)": (43_010, 21_163),
-    "product(zmod(4),zmod(4))": (80_198, 42_584),
+    "holding amalgam": (86_696, 48_597),
+    "polyquot(zmod(2),4)": (10_656, 5_477),
+    "product(zmod(4),zmod(4))": (47_400, 25_849),
 }
 
 
@@ -545,8 +578,11 @@ def test_swap_cut_keeps_every_witness_and_acts_only_on_commutative_rings(monkeyp
     """At degrees 1 and 2 up to 16 elements, the scans with the swap cut
     find the witness of the same scans with _lex_leader_cut reporting no
     ring commutative.  They walk strictly fewer nodes on every commutative
-    ring whose scan walks to the end, and exactly as many on every
-    non-commutative ring, where (g, f) need not violate when (f, g) does."""
+    ring whose scan walks to the end through at least one node, and exactly
+    as many on every non-commutative ring, where (g, f) need not violate
+    when (f, g) does.  The McCoy cut can leave no node to swap: on a field f
+    has no nonzero non-unit coefficient, and for weak Armendariz on zmod(4)
+    every non-unit is nilpotent, so no f can make a leaf bad."""
     holding = _holding_amalgam().digest()
     rings = [R for R in _orbit_test_rings(small_rings) if R.size <= 16]
     queries = [
@@ -566,7 +602,7 @@ def test_swap_cut_keeps_every_witness_and_acts_only_on_commutative_rings(monkeyp
         commutative = is_commutative(R)
         if not commutative:
             assert nodes == unswapped, (R.provenance, kind, d)
-        elif wit is None:
+        elif wit is None and unswapped:
             assert nodes < unswapped, (R.provenance, kind, d)
         else:
             assert nodes <= unswapped, (R.provenance, kind, d)
@@ -616,7 +652,7 @@ def test_gaussian_route_is_held_to_its_definition_and_to_the_scan(monkeypatch, s
     Armendariz scans find nothing at degrees 1 and 2.  holds and get_report
     take the route with no scan, while check_armendariz, criterion 9's
     query, still walks the whole degree-2 search of the Gaussian
-    poly_quotient(zmod(2), 4)."""
+    poly_quotient(zmod(2), 4): 21,163 nodes before the McCoy cut."""
     armendariz = PropertyKind.ARMENDARIZ
     declined = [poly_quotient(zmod(4), 2), poly_quotient(poly_quotient(zmod(2), 2), 2), _z8_x2_is_4()]
     rings = [
@@ -644,7 +680,7 @@ def test_gaussian_route_is_held_to_its_definition_and_to_the_scan(monkeypatch, s
     assert get_report(chain, armendariz, 2).verdict is Verdict.HOLDS_UP_TO_BOUND
     monkeypatch.undo()
     clear_caches()
-    assert check_armendariz(chain, 2).pairs_examined == 21_163
+    assert check_armendariz(chain, 2).pairs_examined == 5_477
     clear_caches()
 
 
