@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InternalInvariantError, SearchBudgetError
 from .morphisms import _ideal_defect
-from .poly import Polynomial, poly_mul, product_coeffs_in_set
+from .poly import Polynomial, poly_mul
 from .rings import (
     _MEMO,
     FiniteRing,
@@ -365,13 +365,33 @@ def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int, tuple[int, ..
     return ring_memo(R, "unit_orbits", compute)
 
 
+def _ann_coset_reps(R: FiniteRing, close: list) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """K, the elements of a commutative R that kill every non-unit (read
+    from close, the bitmasks of the b with k*b = 0), ascending; then the
+    non-units least in their coset x + K, ascending and as a bitmask, or
+    every non-unit when zero is not least in K.  On a ring with two or more
+    factors K = {0}: k kills e and 1 - e for an idempotent e != 0, 1.
+    """
+
+    def compute() -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        nonunits, nonunit_mask = _unit_orbit_reps(R)[2:]
+        kills = tuple(k for k in range(R.size) if close[k] & nonunit_mask == nonunit_mask)
+        if kills[0] != R.zero:
+            return kills, nonunits, nonunit_mask
+        reps = tuple(x for x in nonunits if min([R.add[x][k] for k in kills]) == x)
+        return kills, reps, sum(1 << x for x in reps)
+
+    return ring_memo(R, "ann_cosets", compute)
+
+
 def _lex_leader_cut(
     R: FiniteRing, sc: frozenset, sv: frozenset, close: list
 ) -> tuple[Iterator[tuple[int, tuple[int, ...]]], Sequence[int], dict, bool]:
     """What the scans walk, as (heads, coeffs, tails, swap).
 
     coeffs are the values any coefficient takes, ascending: all of R, or
-    its non-units under the McCoy cut; the scans build their rows over them.
+    under the McCoy and coset cuts the non-units least in their coset x + K;
+    the scans build their rows over them.
     leads = tails[zero] are the values f's first nonzero coefficient a_k
     takes: the least element of each unit orbit in coeffs (zero is an orbit
     of its own).  tails[x], for x in leads, are the coeffs from x on, the
@@ -403,17 +423,23 @@ def _lex_leader_cut(
     counts it whole.  The McCoy cut, on a commutative ring with sc = {0}: a
     violating pair has fg = 0, f != 0 and g != 0, so some c != 0 kills every
     coefficient of f (McCoy, Amer. Math. Monthly 49, 1942), and none is a
-    unit; gf = 0 does the same for g.  Disabling every cut means replacing
-    this one function.
+    unit; gf = 0 does the same for g.  The coset cut, in the same case: K,
+    the elements that kill every non-unit, kills every coefficient of f and
+    g, so adding k in K to one keeps fg and every cross product, and the
+    lex-first violation has each coefficient least in its coset x + K; it
+    applies when zero is least in K, as the scans take zero as a value of
+    every coefficient.  Disabling every cut means replacing this one
+    function.
     """
-    reps, rep_mask, nonunits, nonunit_mask = _unit_orbit_reps(R)
+    reps, rep_mask = _unit_orbit_reps(R)[:2]
     zero = R.zero
     swap = is_commutative(R)
     coeffs: Sequence[int] = range(R.size)
     cut = rep_mask if sc == sv == {zero} else -1
     if swap and sc == {zero}:
-        coeffs, cut = nonunits, cut & nonunit_mask
-        reps = tuple(x for x in reps if (nonunit_mask >> x) & 1)
+        coeffs, keep = _ann_coset_reps(R, close)[1:]
+        cut &= keep
+        reps = tuple(x for x in reps if (keep >> x) & 1)
     tails = {x: coeffs[bisect_left(coeffs, x) :] for x in reps}
     tails[zero] = reps
     heads = ((a0, _bits(close[a0] & cut)) for a0 in reps)
@@ -704,15 +730,24 @@ def annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterato
 
 
 def naive_annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterator[tuple[Polynomial, Polynomial]]:
-    """Reference double enumeration: test every pair of coefficient tuples."""
+    """Reference double enumeration: test every pair of coefficient tuples,
+    dropping it at the first product coefficient outside the set."""
     allowed = frozenset(members)
-    n = R.size
-    for fc in itertools.product(range(n), repeat=d + 1):
+    add, zero = R.add, R.zero
+    tuples = list(itertools.product(range(R.size), repeat=d + 1))
+    terms = [[(i, k - i) for i in range(max(0, k - d), min(k, d) + 1)] for k in range(2 * d + 1)]
+    for fc in tuples:
         f = Polynomial(R, fc)
-        for gc in itertools.product(range(n), repeat=d + 1):
-            g = Polynomial(R, gc)
-            if product_coeffs_in_set(f, g, allowed):
-                yield f, g
+        rows = [R.mul[a] for a in fc]
+        for gc in tuples:
+            for term in terms:
+                c = zero
+                for i, j in term:
+                    c = add[c][rows[i][gc[j]]]
+                if c not in allowed:
+                    break
+            else:
+                yield f, Polynomial(R, gc)
 
 
 def _kind_sets(R: FiniteRing, kind: PropertyKind) -> tuple[frozenset, frozenset]:

@@ -33,6 +33,7 @@ from amalgam.properties import (
     naive_poly_check,
     property_profile,
     _Tables,
+    _ann_coset_reps,
     _bits,
     _indecomposable_factors,
     _is_gaussian,
@@ -361,7 +362,8 @@ def test_orbit_cut_keeps_the_criterion_9_witness_and_walks_less():
     """The unreduced walk of this check examined 130,800 nodes, the walk
     cut by unit orbits alone 74,155, the walk with the reversal and
     leading-zero cuts too 43,010, the walk with the swap cut too 21,163,
-    and the walk with the McCoy cut too 5,477."""
+    the walk with the McCoy cut too 5,477, and the walk with the coset cut
+    too 187."""
     report = check_armendariz(poly_quotient(zmod(2), 4), 2)
     assert report.verdict is Verdict.HOLDS_UP_TO_BOUND and report.witness is None
     assert report.pairs_examined < 43_010
@@ -531,6 +533,64 @@ def test_mccoy_cut_drops_no_violating_pair(small_rings):
     assert all(checked.values()), checked
 
 
+def _ann_cosets_by_brute_force(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """K = {k : k*x = 0 for every non-unit x}, ascending, and the non-units
+    least in their coset x + K (every non-unit when zero is not least in
+    K), ascending and as a bitmask, with units found by brute force."""
+    rng, add, mul, zero = range(R.size), R.add, R.mul, R.zero
+    nonunits = [x for x in rng if R.one not in mul[x]]
+    K = tuple(k for k in rng if all(mul[k][x] == zero for x in nonunits))
+    least = tuple(x for x in nonunits if K[0] != zero or x == min(add[x][k] for k in K))
+    return K, least, sum(1 << x for x in least)
+
+
+def test_coset_cut_drops_no_violating_pair(small_rings):
+    """On a commutative ring, a pair with f*g = 0, f != 0 and g != 0 has no
+    unit coefficient (McCoy), so K = {k : k*x = 0 for every non-unit x}
+    kills every coefficient.  Moving any one coefficient within its coset
+    x + K then keeps every cross product, and so f*g = 0, whose
+    coefficients are sums of them: a violating pair stays violating for
+    every kind with constraint set {0}, and the values the coset cut drops
+    start no lex-first violation.  Held to the naive stream of every
+    commutative ring of _orbit_test_rings with one indecomposable factor
+    and of the three non-Gaussian local rings, which have violating pairs,
+    at degree 1 up to 16 elements and at degree 2 up to 8, with K found by
+    brute force.  On a ring with two or more factors K = {0}, so the cut
+    does nothing there.  _ann_coset_reps is held to its definition on these
+    rings and on two relabelings of each up to 8 elements, some of which
+    move zero above another element of K."""
+    rings = [R for R in _orbit_test_rings(small_rings) + _non_gaussian_local_rings() if is_commutative(R)]
+    zero_not_least = 0
+    for R in rings + [S for R in rings if R.size <= 8 for S in _relabelings(R)]:
+        close = [sum(1 << b for b, p in enumerate(row) if p == R.zero) for row in R.mul]
+        want = _ann_cosets_by_brute_force(R)
+        assert _ann_coset_reps(R, close) == want, R.provenance
+        zero_not_least += want[0][0] != R.zero
+    assert zero_not_least
+    moved = {1: 0, 2: 0}
+    violating = 0
+    for R in rings:
+        add, mul, zero = R.add, R.mul, R.zero
+        K = _ann_cosets_by_brute_force(R)[0]
+        if len(_indecomposable_factors(R)) > 1:
+            assert K == (zero,), R.provenance
+            continue
+        shifts = [k for k in K if k != zero]
+        for d in (1, 2) if R.size <= 8 else (1,) if R.size <= 16 else ():
+            for f, g in naive_annihilating_pairs(R, d, {zero}):
+                if f.is_zero() or g.is_zero():
+                    continue
+                cross = [mul[a][b] for a in f.coeffs for b in g.coeffs]
+                violating += cross.count(zero) < len(cross)
+                for pos, k in itertools.product(range(2 * d + 2), shifts):
+                    pair = list(f.coeffs + g.coeffs)
+                    pair[pos] = add[pair[pos]][k]
+                    fc, gc = pair[: d + 1], pair[d + 1 :]
+                    assert [mul[a][b] for a in fc for b in gc] == cross, (R.provenance, f, g, pos, k)
+                    moved[d] += 1
+    assert all(moved.values()) and violating, (moved, violating)
+
+
 def test_commutativity_is_one_memo_fact_held_to_its_definition(monkeypatch, small_rings):
     """is_commutative agrees with x*y = y*x on every small ring; the
     semicommutative check and the scans read it as one memo fact, computed
@@ -566,10 +626,11 @@ def test_commutativity_is_one_memo_fact_held_to_its_definition(monkeypatch, smal
 
 # d = 2 armendariz node counts of full walks, without and with the swap cut;
 # before the McCoy cut they were (110_312, 60_264), (43_010, 21_163) and
-# (80_198, 42_584)
+# (80_198, 42_584), and before the coset cut polyquot(zmod(2),4)'s was
+# (10_656, 5_477)
 SWAP_CUT_NODES = {
     "holding amalgam": (86_696, 48_597),
-    "polyquot(zmod(2),4)": (10_656, 5_477),
+    "polyquot(zmod(2),4)": (334, 187),
     "product(zmod(4),zmod(4))": (47_400, 25_849),
 }
 
@@ -645,6 +706,11 @@ def _z8_x2_is_4() -> FiniteRing:
     return FiniteRing.from_tables(add, mul, provenance="Z8[x]/(x^2-4,2x)")
 
 
+def _non_gaussian_local_rings() -> list[FiniteRing]:
+    """Three commutative local 16-element rings that refute Armendariz."""
+    return [poly_quotient(zmod(4), 2), poly_quotient(poly_quotient(zmod(2), 2), 2), _z8_x2_is_4()]
+
+
 def test_gaussian_route_is_held_to_its_definition_and_to_the_scan(monkeypatch, small_rings):
     """On every commutative indecomposable ring up to 16 elements, and on
     three non-Gaussian local rings, _is_gaussian is the brute-force test
@@ -652,9 +718,10 @@ def test_gaussian_route_is_held_to_its_definition_and_to_the_scan(monkeypatch, s
     Armendariz scans find nothing at degrees 1 and 2.  holds and get_report
     take the route with no scan, while check_armendariz, criterion 9's
     query, still walks the whole degree-2 search of the Gaussian
-    poly_quotient(zmod(2), 4): 21,163 nodes before the McCoy cut."""
+    poly_quotient(zmod(2), 4): 21,163 nodes before the McCoy cut and 5,477
+    before the coset cut."""
     armendariz = PropertyKind.ARMENDARIZ
-    declined = [poly_quotient(zmod(4), 2), poly_quotient(poly_quotient(zmod(2), 2), 2), _z8_x2_is_4()]
+    declined = _non_gaussian_local_rings()
     rings = [
         R for R in _orbit_test_rings(small_rings) + declined
         if R.size <= 16 and is_commutative(R) and len(_indecomposable_factors(R)) == 1
@@ -680,7 +747,7 @@ def test_gaussian_route_is_held_to_its_definition_and_to_the_scan(monkeypatch, s
     assert get_report(chain, armendariz, 2).verdict is Verdict.HOLDS_UP_TO_BOUND
     monkeypatch.undo()
     clear_caches()
-    assert check_armendariz(chain, 2).pairs_examined == 5_477
+    assert check_armendariz(chain, 2).pairs_examined == 187
     clear_caches()
 
 

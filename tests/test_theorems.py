@@ -217,6 +217,19 @@ def test_budgeted_harness_skips_clauses_whose_search_runs_out(budget):
         assert hashlib.sha256(report.encode()).hexdigest().startswith(pinned[budget])
 
 
+def test_degree_three_harness_report_is_pinned():
+    """The cap-32 degree-3 harness report, pinned by its sha256.  Its four
+    holding Armendariz walks on the non-Gaussian commutative local
+    32-element rings walked 161,921,487 nodes before the coset cut (about
+    115 s on a 2-core host) and 6,696 with it, so a lost cut shows as a
+    slow test and a broken one as a failed test."""
+    clear_caches()
+    report = run_harness(CorpusConfig(max_amalgam_size=32), degree=3).to_json()
+    clear_caches()
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == "f841c8520fc34e5b4e3a7091f26d513f83e81141070efd7c701d3dd1da72e142"
+
+
 def test_harness_skips_scans_a_lower_degree_refutes(monkeypatch):
     """The harness asks holds, so no degree-d scan runs on a ring whose
     degree-(d-1) scan, with the same constraint sets, already refutes.  At
