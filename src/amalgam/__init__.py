@@ -37,7 +37,7 @@ from .morphisms import (
     is_semicommutative_ideal,
     preimage_ideal,
 )
-from .poly import Polynomial, enumerate_polys, format_poly, poly_add, poly_mul, product_coeffs_in_set
+from .poly import Polynomial, enumerate_polys, format_poly, poly_add, poly_mul
 from .properties import (
     PropertyKind,
     PropertyProfile,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import HostMismatchError
 from .rings import FiniteRing
@@ -12,7 +12,6 @@ __all__ = [
     "Polynomial",
     "poly_add",
     "poly_mul",
-    "product_coeffs_in_set",
     "enumerate_polys",
     "format_poly",
 ]
@@ -93,12 +92,6 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
             k = i + j
             out[k] = add[out[k]][row[b]]
     return Polynomial(R, tuple(out))
-
-
-def product_coeffs_in_set(f: Polynomial, g: Polynomial, members: Iterable[int]) -> bool:
-    """Whether every coefficient of f*g lies in the given subset of the host."""
-    allowed = set(members)
-    return all(c in allowed for c in poly_mul(f, g).coeffs)
 
 
 def enumerate_polys(R: FiniteRing, d: int) -> Iterator[Polynomial]:

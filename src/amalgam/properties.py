@@ -188,13 +188,10 @@ class PropertyReport:
     pairs_examined counts the candidate coefficient choices the search walked
     through; the pruned walk discards provably harmless pairs wholesale, so
     this measures effort, not the number of annihilating pairs that exist.
-    It counts the walk after the lex-leader cuts (_lex_leader_cut: f's first
-    nonzero coefficient a_k least in its unit orbit and at most f's last
-    coefficient, and f <= g on a commutative ring, since unit multiples,
-    reversal, division by x and there the swap (g, f) map violating pairs
-    to violating pairs).  It is the node count of R's own direct scan, 0
-    when a route of holds (nil ideal, factor split, Gaussian) confirmed the
-    verdict, and is in neither the harness report nor the check envelopes.
+    It counts the walk after the cuts of _lex_leader_cut.  It is the node
+    count of R's own direct scan, 0 when a route of holds (nil ideal,
+    factor split, Gaussian) confirmed the verdict, and is in neither the
+    harness report nor the check envelopes.
     A REFUTED report always takes its witness from R's own scan.  A report
     is a fact about a table: rings with equal tables share one.
     """
@@ -276,22 +273,23 @@ def _is_gaussian(R: FiniteRing) -> bool:
 
 class _Tables:
     """The tables of one annihilating-pair search, for the constraint set sc
-    and the target set sv.
+    and the target set sv, over the values its cut keeps.
 
     close[a] is the bitmask of the b with a*b in sc, and bad[a] the bitmask
     of the b with a*b outside sv; both are built up front, by one membership
-    pass over each row.  cand[a][p], the b ascending with p + a*b in sc, and
-    mask[a][p], the same b as a bitmask, are built by row(a) on first read
-    and are None until then: a refuting degree-1 scan stops after a few
-    heads, so it reads a few of the n rows.  p + a*b is in sc exactly when
-    a*b = s - p for an s in sc, so a row groups the b in coeffs (all of R
-    unless a scan's cut narrows it) by a*b and joins the groups of those
-    values (for sc = {0}, the group of -p).  The tables are per search and
-    never memoized: scans seldom repeat a (ring, sc) pair, so stored tables
-    would cost memory for no reuse.
+    pass over each row.  heads, coeffs, tails and swap are the cut of
+    _lex_leader_cut, taken here so every row is built over coeffs.
+    cand[a][p], the b in coeffs ascending with p + a*b in sc, and mask[a][p],
+    the same b as a bitmask, are built by row(a) on first read and are None
+    until then: a refuting degree-1 scan stops after a few heads, so it
+    reads a few of the n rows.  p + a*b is in sc exactly when a*b = s - p
+    for an s in sc, so a row groups the b in coeffs by a*b and joins the
+    groups of those values (for sc = {0}, the group of -p).  The tables are
+    per search and never memoized: scans seldom repeat a (ring, sc) pair,
+    so stored tables would cost memory for no reuse.
     """
 
-    __slots__ = ("close", "bad", "cand", "mask", "coeffs", "_mul", "_neg", "_wanted")
+    __slots__ = ("close", "bad", "cand", "mask", "heads", "coeffs", "tails", "swap", "_mul", "_neg", "_wanted")
 
     def __init__(self, R: FiniteRing, sc: frozenset, sv: frozenset) -> None:
         n = R.size
@@ -305,7 +303,7 @@ class _Tables:
         add, neg = R.add, R.neg
         self._wanted = None if sc == {R.zero} else [[add[s][neg[p]] for s in sorted(sc)] for p in range(n)]
         self._mul, self._neg = R.mul, neg
-        self.coeffs: Sequence[int] = range(n)
+        self.heads, self.coeffs, self.tails, self.swap = _lex_leader_cut(R, sc, sv, self.close)
         self.cand: list = [None] * n
         self.mask: list = [None] * n
 
@@ -340,17 +338,20 @@ def _bits(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
-    """The least element of each orbit {x*u : u a unit} of R, ascending, and
-    the same set as a bitmask; then the non-units, ascending and as a
-    bitmask.
+def _cut_values(R: FiniteRing) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+    """The values the cuts keep: the least element of each orbit {x*u : u a
+    unit} of R, ascending and as a bitmask; then, on a commutative R only
+    (else empty), the non-units least in their coset x + K, ascending and as
+    a bitmask, where K is the set of elements that kill every non-unit.
 
     Right multiplication by the unit group partitions R, and walking R in
-    ascending order meets each orbit first at its least element.
+    ascending order meets each orbit first at its least element.  On a ring
+    with two or more factors K = {0}: k kills e and 1 - e for an idempotent
+    e != 0, 1.
     """
 
     def compute() -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
-        us = sorted(units(R))
+        us = units(R)
         reps = []
         seen = 0
         for x in range(R.size):
@@ -359,50 +360,36 @@ def _unit_orbit_reps(R: FiniteRing) -> tuple[tuple[int, ...], int, tuple[int, ..
                 row = R.mul[x]
                 for u in us:
                     seen |= 1 << row[u]
-        nonunit_mask = ((1 << R.size) - 1) ^ sum(1 << u for u in us)
-        return tuple(reps), sum(1 << x for x in reps), _bits(nonunit_mask), nonunit_mask
+        least: tuple[int, ...] = ()
+        if is_commutative(R):
+            add, zero = R.add, R.zero
+            nonunits = [x for x in range(R.size) if x not in us]
+            kills = [k for k, row in enumerate(R.mul) if all(row[x] == zero for x in nonunits)]
+            least = tuple(x for x in nonunits if min([add[x][k] for k in kills]) == x)
+        return tuple(reps), sum(1 << x for x in reps), least, sum(1 << x for x in least)
 
-    return ring_memo(R, "unit_orbits", compute)
-
-
-def _ann_coset_reps(R: FiniteRing, close: list) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """K, the elements of a commutative R that kill every non-unit (read
-    from close, the bitmasks of the b with k*b = 0), ascending; then the
-    non-units least in their coset x + K, ascending and as a bitmask, or
-    every non-unit when zero is not least in K.  On a ring with two or more
-    factors K = {0}: k kills e and 1 - e for an idempotent e != 0, 1.
-    """
-
-    def compute() -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        nonunits, nonunit_mask = _unit_orbit_reps(R)[2:]
-        kills = tuple(k for k in range(R.size) if close[k] & nonunit_mask == nonunit_mask)
-        if kills[0] != R.zero:
-            return kills, nonunits, nonunit_mask
-        reps = tuple(x for x in nonunits if min([R.add[x][k] for k in kills]) == x)
-        return kills, reps, sum(1 << x for x in reps)
-
-    return ring_memo(R, "ann_cosets", compute)
+    return ring_memo(R, "cut_values", compute)
 
 
 def _lex_leader_cut(
     R: FiniteRing, sc: frozenset, sv: frozenset, close: list
 ) -> tuple[Iterator[tuple[int, tuple[int, ...]]], Sequence[int], dict, bool]:
-    """What the scans walk, as (heads, coeffs, tails, swap).
+    """What the scans walk, as (heads, coeffs, tails, swap); _Tables takes
+    it and builds its rows over coeffs.
 
     coeffs are the values any coefficient takes, ascending: all of R, or
-    under the McCoy and coset cuts the non-units least in their coset x + K;
-    the scans build their rows over them.
+    under the McCoy and coset cuts the non-units least in their coset x + K.
     leads = tails[zero] are the values f's first nonzero coefficient a_k
     takes: the least element of each unit orbit in coeffs (zero is an orbit
     of its own).  tails[x], for x in leads, are the coeffs from x on, the
     values f's last coefficient takes after a first nonzero a_k = x, k < d.
-    heads pairs each a0 in leads with the b0 it walks, the bits of close[a0]
-    (the b with a0*b in sc) in coeffs, as each scan reaches it; when sc and
-    sv are both {0} the b0 are cut to leads, and so is each later b_k short
-    of the last whose predecessors are all zero, which leaves the same
-    level.  swap says whether R is commutative; then the scans walk only
-    g >= f: b0 starts at a0, each later b_k at a_k while g ties f, and on
-    the last coefficient the mask keeps the bits >= a_d.
+    heads yields each a0 in leads with the b0 it walks, the bits of
+    close[a0] (the b with a0*b in sc) in coeffs, as each scan reaches it;
+    when sc and sv are both {0} the b0 are cut to leads, and so is each
+    later b_k short of the last whose predecessors are all zero, which
+    leaves the same level.  swap says whether R is commutative; then the
+    scans walk only g >= f: b0 starts at a0, each later b_k at a_k while g
+    ties f, and on the last coefficient the mask keeps the bits >= a_d.
 
     Three maps send a violating pair (f, g) to a violating pair: (f*u,
     u^-1*g) for a unit u keeps every product coefficient and cross product;
@@ -426,20 +413,21 @@ def _lex_leader_cut(
     unit; gf = 0 does the same for g.  The coset cut, in the same case: K,
     the elements that kill every non-unit, kills every coefficient of f and
     g, so adding k in K to one keeps fg and every cross product, and the
-    lex-first violation has each coefficient least in its coset x + K; it
-    applies when zero is least in K, as the scans take zero as a value of
-    every coefficient.  Disabling every cut means replacing this one
-    function.
+    lex-first violation has each coefficient least in its coset x + K.
+    When zero is not least in K, zero leaves coeffs: replacing a zero
+    coefficient by min(K) gives a lex-smaller violating pair, so the
+    lex-first one has no zero coefficient and the scans' zero branches never
+    fire.  Disabling every cut means replacing this one function.
     """
-    reps, rep_mask = _unit_orbit_reps(R)[:2]
+    reps, rep_mask, least, least_mask = _cut_values(R)
     zero = R.zero
     swap = is_commutative(R)
     coeffs: Sequence[int] = range(R.size)
     cut = rep_mask if sc == sv == {zero} else -1
     if swap and sc == {zero}:
-        coeffs, keep = _ann_coset_reps(R, close)[1:]
-        cut &= keep
-        reps = tuple(x for x in reps if (keep >> x) & 1)
+        coeffs = least
+        cut &= least_mask
+        reps = tuple(x for x in reps if (least_mask >> x) & 1)
     tails = {x: coeffs[bisect_left(coeffs, x) :] for x in reps}
     tails[zero] = reps
     heads = ((a0, _bits(close[a0] & cut)) for a0 in reps)
@@ -491,8 +479,7 @@ def _scan_block_generic(
     g = [0] * (d + 1)
     pend = [zero] * (2 * d + 1)
     state = {"nodes": 0, "fbad": 0, "level0": (), "cand0": []}
-    heads, coeffs, tails, swap = _lex_leader_cut(R, sc, sv, tables.close)
-    tables.coeffs = coeffs
+    tails = tables.tails
     lead_set = set(tails[zero])
 
     def descend(k: int, flag: int, g_zero: bool, tied: bool) -> bool:
@@ -533,11 +520,11 @@ def _scan_block_generic(
                 pend[k + 1 : k + d + 1] = saved
         return False
 
-    for a0, level0 in heads:
+    for a0, level0 in tables.heads:
         fb0 = bad[a0]
         state["level0"] = level0
         state["cand0"] = tables.row(a0)[0]
-        for rest in itertools.product(coeffs, repeat=d):
+        for rest in itertools.product(tables.coeffs, repeat=d):
             fc = (a0, *rest)
             lead = next((a for a in fc[:d] if a != zero), zero)
             if lead not in lead_set or fc[d] not in tails[lead]:
@@ -549,7 +536,7 @@ def _scan_block_generic(
                 continue
             f[:] = fc
             state["fbad"] = fb
-            if descend(0, 0, True, swap):
+            if descend(0, 0, True, tables.swap):
                 return _first_bad_product(mul, sv, tuple(f), tuple(g)), state["nodes"]
     return None, state["nodes"]
 
@@ -572,15 +559,13 @@ def _scan_block_d1(
     the mask keeps b1 >= a1.
     """
     tables = _Tables(R, sc, sv)
-    close, bad = tables.close, tables.bad
-    heads, coeffs, tails, swap = _lex_leader_cut(R, sc, sv, close)
-    tables.coeffs = coeffs
+    close, bad, tails = tables.close, tables.bad, tables.tails
     mul = R.mul
     nodes = 0
-    for a0, level0 in heads:
+    for a0, level0 in tables.heads:
         fb0 = bad[a0]
         cand0, mask0 = tables.row(a0)
-        tie0 = a0 if swap else -1
+        tie0 = a0 if tables.swap else -1
         level0 = level0[bisect_left(level0, tie0) :]
         for a1 in tails[a0]:
             fbad = fb0 | bad[a1]
@@ -623,16 +608,14 @@ def _scan_block_d2(
     it, with no call on later reads.
     """
     tables = _Tables(R, sc, sv)
-    close, bad, mask = tables.close, tables.bad, tables.mask
-    heads, coeffs, tails, swap = _lex_leader_cut(R, sc, sv, close)
-    tables.coeffs = coeffs
+    close, bad, mask, coeffs, tails = tables.close, tables.bad, tables.mask, tables.coeffs, tables.tails
     add, mul = R.add, R.mul
     zero = R.zero
     nodes = 0
-    for a0, level0 in heads:
+    for a0, level0 in tables.heads:
         fb0 = bad[a0]
         cand0, mask0 = tables.row(a0)
-        tie0 = a0 if swap else -1
+        tie0 = a0 if tables.swap else -1
         walk0 = level0[bisect_left(level0, tie0) :]
         for a1 in coeffs if a0 != zero else tails[zero]:
             fb01 = fb0 | bad[a1]
@@ -694,39 +677,31 @@ def _search_violation(
 def annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterator[tuple[Polynomial, Polynomial]]:
     """Stream every pair (f, g) of degree bound d with all coefficients of f*g
     inside the member set, in lexicographic (f coefficients, g coefficients)
-    order.  Backtracking prunes g prefixes as convolution constraints close.
+    order.  For each f, g grows one coefficient at a time in lex order: b_k
+    is one of the b with p + a0*b in the set, p the sum of the a_i*b_(k-i)
+    with i > 0, so coefficient k of f*g closes as b_k is chosen.  It shares
+    no table and no cut with the scans.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
     sc = frozenset(members)
-    tables = _Tables(R, sc, sc)
-    add, mul = R.add, R.mul
-    zero = R.zero
-    n = R.size
-    width = d + 1
-    g = [0] * width
-    pend = [zero] * (2 * d + 1)
-
-    def emit(fc: tuple[int, ...], cand0: list, k: int) -> Iterator[tuple[int, ...]]:
-        last = k == d
-        for b in cand0[pend[k]]:
-            g[k] = b
-            if d:
-                saved = pend[k + 1 : k + d + 1]
-                for m in range(k + 1, k + d + 1):
-                    pend[m] = add[pend[m]][mul[fc[m - k]][b]]
-            if last:
-                if all(pend[m] in sc for m in range(d + 1, 2 * d + 1)):
-                    yield tuple(g)
-            else:
-                yield from emit(fc, cand0, k + 1)
-            if d:
-                pend[k + 1 : k + d + 1] = saved
-
-    for fc in itertools.product(range(n), repeat=width):
-        f = Polynomial(R, fc)
-        for gc in emit(fc, tables.row(fc[0])[0], 0):
-            yield f, Polynomial(R, gc)
+    add, mul, rng = R.add, R.mul, range(R.size)
+    for a0 in rng:
+        cand = [tuple(b for b in rng if add[p][mul[a0][b]] in sc) for p in rng]
+        for rest in itertools.product(rng, repeat=d):
+            rows = [mul[a] for a in rest]
+            # each prefix b_0..b_(k-1) of g with coefficients k..2d of f*g
+            grown = [((), (R.zero,) * (2 * d + 1))]
+            for _ in range(d + 1):
+                grown = [
+                    (gc + (b,), tuple([add[p][row[b]] for p, row in zip(pend[1:], rows)]) + pend[d + 1 :])
+                    for gc, pend in grown
+                    for b in cand[pend[0]]
+                ]
+            f = Polynomial(R, (a0, *rest))
+            for gc, pend in grown:
+                if sc.issuperset(pend):
+                    yield f, Polynomial(R, gc)
 
 
 def naive_annihilating_pairs(R: FiniteRing, d: int, members: Iterable[int]) -> Iterator[tuple[Polynomial, Polynomial]]:

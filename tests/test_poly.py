@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from amalgam.constructions import matrix_ring, poly_quotient, upper_triangular, zmod
 from amalgam.errors import HostMismatchError
-from amalgam.poly import Polynomial, enumerate_polys, format_poly, poly_add, poly_mul, product_coeffs_in_set
+from amalgam.poly import Polynomial, enumerate_polys, format_poly, poly_add, poly_mul
 
 
 def test_polynomial_validation(z4):
@@ -63,13 +63,6 @@ def test_format_poly_readable(z4, pq22):
     assert "x" in text and "2" in text
     nested = format_poly(Polynomial(pq22, (1, 3)))
     assert "x" in nested
-
-
-def test_product_coeffs_in_set(z4):
-    f = Polynomial(z4, (2, 2))
-    g = Polynomial(z4, (2, 2))
-    assert product_coeffs_in_set(f, g, {0})
-    assert not product_coeffs_in_set(Polynomial(z4, (1,)), Polynomial(z4, (1,)), {0})
 
 
 def test_thousand_random_triples_ring_laws():

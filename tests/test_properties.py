@@ -33,18 +33,16 @@ from amalgam.properties import (
     naive_poly_check,
     property_profile,
     _Tables,
-    _ann_coset_reps,
     _bits,
+    _cut_values,
     _indecomposable_factors,
     _is_gaussian,
     _kind_sets,
-    _lex_leader_cut,
     _nil_is_ideal,
     _scan_block_d1,
     _scan_block_d2,
     _scan_block_generic,
     _search_violation,
-    _unit_orbit_reps,
 )
 from amalgam.rings import FiniteRing, induced_ring, is_commutative, is_nilpotent, is_semicommutative_ring, nilradical
 
@@ -135,14 +133,18 @@ def test_witness_is_lex_minimal(t2):
     pytest.fail("oracle found no refutation where the engine did")
 
 
-def test_stream_counts_match_naive(t2):
-    fast = sum(1 for _ in annihilating_pairs(t2, 1, {t2.zero}))
-    slow = sum(1 for _ in naive_annihilating_pairs(t2, 1, {t2.zero}))
-    assert fast == slow
-    nil = nilradical(t2)
-    assert sum(1 for _ in annihilating_pairs(t2, 1, nil)) == sum(
-        1 for _ in naive_annihilating_pairs(t2, 1, nil)
-    )
+def test_stream_counts_match_naive(small_rings):
+    """annihilating_pairs yields the pairs of the naive double loop, pair
+    for pair in the same order, on every ring up to 8 elements at degrees
+    0 to 2, for the constraint sets {0} and the nilpotents."""
+    for R in small_rings:
+        if R.size > 8:
+            continue
+        for sc in {frozenset((R.zero,)), nilradical(R)}:
+            for d in (0, 1, 2):
+                fast = [(f.coeffs, g.coeffs) for f, g in annihilating_pairs(R, d, sc)]
+                slow = [(f.coeffs, g.coeffs) for f, g in naive_annihilating_pairs(R, d, sc)]
+                assert fast == slow, (R.provenance, sorted(sc), d)
 
 
 def test_stream_yields_lex_order_and_includes_zero(z4):
@@ -338,17 +340,19 @@ def test_route_facts_do_not_keep_their_ring_alive():
 
 
 def test_unit_orbit_reps_are_a_transversal(small_rings):
-    """Ascending, each least in its orbit {r*u : u a unit}, and every element
-    is r*u for exactly one representative r; the non-units beside them are
-    the complement of the units; units found by brute force."""
+    """The first half of _cut_values: ascending, each least in its orbit
+    {r*u : u a unit}, and every element is r*u for exactly one
+    representative r, with units found by brute force.  The second half,
+    the non-units least in their coset x + K, is their brute force on a
+    commutative ring and empty on any other."""
     for R in small_rings:
         rng = range(R.size)
         us = [u for u in rng if any(R.mul[u][v] == R.one == R.mul[v][u] for v in rng)]
-        reps, rep_mask, nonunits, nonunit_mask = _unit_orbit_reps(R)
+        reps, rep_mask, least, least_mask = _cut_values(R)
         assert list(reps) == sorted(set(reps)), R.provenance
         assert rep_mask == sum(1 << r for r in reps), R.provenance
-        assert nonunits == tuple(x for x in rng if x not in us), R.provenance
-        assert nonunit_mask == sum(1 << x for x in nonunits), R.provenance
+        want = _ann_cosets_by_brute_force(R)[1:] if is_commutative(R) else ((), 0)
+        assert (least, least_mask) == want, R.provenance
         owners = {x: [] for x in rng}
         for r in reps:
             orbit = {R.mul[r][u] for u in us}
@@ -428,13 +432,15 @@ def _relabelings(R: FiniteRing) -> list[FiniteRing]:
         shuffler.shuffle(perm)
         if perm[R.zero] != R.zero and perm[R.one] != R.one:
             perms.append(tuple(perm))
-    return [
-        induced_ring(
-            R, sorted(range(n), key=perm.__getitem__), perm, R.one,
-            provenance=f"relabel({R.provenance})", structure=("relabel", R, perm),
-        )
-        for perm in perms
-    ]
+    return [_relabel(R, perm) for perm in perms]
+
+
+def _relabel(R: FiniteRing, perm: tuple[int, ...]) -> FiniteRing:
+    """R with each element x renamed perm[x]."""
+    return induced_ring(
+        R, sorted(range(R.size), key=perm.__getitem__), perm, R.one,
+        provenance=f"relabel({R.provenance})", structure=("relabel", R, perm),
+    )
 
 
 def test_orbit_cut_scans_find_the_lex_first_witness_of_the_full_walk(small_rings):
@@ -535,12 +541,12 @@ def test_mccoy_cut_drops_no_violating_pair(small_rings):
 
 def _ann_cosets_by_brute_force(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """K = {k : k*x = 0 for every non-unit x}, ascending, and the non-units
-    least in their coset x + K (every non-unit when zero is not least in
-    K), ascending and as a bitmask, with units found by brute force."""
+    least in their coset x + K, ascending and as a bitmask, with units found
+    by brute force."""
     rng, add, mul, zero = range(R.size), R.add, R.mul, R.zero
     nonunits = [x for x in rng if R.one not in mul[x]]
     K = tuple(k for k in rng if all(mul[k][x] == zero for x in nonunits))
-    least = tuple(x for x in nonunits if K[0] != zero or x == min(add[x][k] for k in K))
+    least = tuple(x for x in nonunits if x == min(add[x][k] for k in K))
     return K, least, sum(1 << x for x in least)
 
 
@@ -556,15 +562,14 @@ def test_coset_cut_drops_no_violating_pair(small_rings):
     and of the three non-Gaussian local rings, which have violating pairs,
     at degree 1 up to 16 elements and at degree 2 up to 8, with K found by
     brute force.  On a ring with two or more factors K = {0}, so the cut
-    does nothing there.  _ann_coset_reps is held to its definition on these
-    rings and on two relabelings of each up to 8 elements, some of which
-    move zero above another element of K."""
+    does nothing there.  The coset half of _cut_values is held to its
+    definition on these rings and on two relabelings of each up to 8
+    elements, some of which move zero above another element of K."""
     rings = [R for R in _orbit_test_rings(small_rings) + _non_gaussian_local_rings() if is_commutative(R)]
     zero_not_least = 0
     for R in rings + [S for R in rings if R.size <= 8 for S in _relabelings(R)]:
-        close = [sum(1 << b for b, p in enumerate(row) if p == R.zero) for row in R.mul]
         want = _ann_cosets_by_brute_force(R)
-        assert _ann_coset_reps(R, close) == want, R.provenance
+        assert _cut_values(R)[2:] == want[1:], R.provenance
         zero_not_least += want[0][0] != R.zero
     assert zero_not_least
     moved = {1: 0, 2: 0}
@@ -589,6 +594,39 @@ def test_coset_cut_drops_no_violating_pair(small_rings):
                     assert [mul[a][b] for a in fc for b in gc] == cross, (R.provenance, f, g, pos, k)
                     moved[d] += 1
     assert all(moved.values()) and violating, (moved, violating)
+
+
+def test_coset_cut_keeps_the_witness_when_zero_is_not_least_in_K():
+    """When zero is not least in K, the coset cut drops zero from every
+    coefficient: replacing a zero coefficient of a violating pair by min(K)
+    keeps every cross product and gives a lex-smaller pair, so the
+    lex-first witness has no zero coefficient.  Held to the first violating
+    pair of the naive stream on three relabelings of each non-Gaussian
+    local ring that put zero above min(K), through the unrolled and generic
+    scans: at degree 1 for every kind, and at degree 2 for the kinds that
+    refute at degree 1."""
+    refuted = {1: 0, 2: 0}
+    for R in _non_gaussian_local_rings():
+        K = _ann_cosets_by_brute_force(R)[0]
+        shuffler = random.Random(R.digest())
+        perms = []
+        while len(perms) < 3:
+            perm = list(range(R.size))
+            shuffler.shuffle(perm)
+            if perm[R.zero] > min(perm[k] for k in K):
+                perms.append(tuple(perm))
+        for S in map(functools.partial(_relabel, R), perms):
+            assert S.zero not in _cut_values(S)[2], S.provenance
+            for kind in POLY_KINDS:
+                sc, sv = _kind_sets(S, kind)
+                for d in (1, 2):
+                    want = naive_poly_check(S, kind, d)[1]
+                    for wit, _ in (_search_violation(S, d, sc, sv, None), _scan_block_generic(S, d, sc, sv, None)):
+                        assert (wit and PolyWitness(*wit)) == want, (S.provenance, kind, d)
+                    if want is None:
+                        break
+                    refuted[d] += 1
+    assert all(refuted.values()), refuted
 
 
 def test_commutativity_is_one_memo_fact_held_to_its_definition(monkeypatch, small_rings):
@@ -839,14 +877,18 @@ def test_swap_map_needs_a_commutative_ring():
 def test_search_tables_match_their_definition(small_rings):
     """close and bad, which _Tables builds up front by one membership pass
     per row, and the cand and mask rows, which it builds on first read from
-    one grouping of the row by product value, held to their definitions;
-    a row is filled by its own read and no other."""
+    one grouping of the row by product value, held to their definitions
+    over coeffs, the values of the cut: the non-units least in their coset
+    x + K on a commutative ring with constraint set {0}, else all of R.  A
+    row is filled by its own read and no other."""
     for R in small_rings:
         rng = range(R.size)
         for kind in POLY_KINDS:
             sc, sv = _kind_sets(R, kind)
             tables = _Tables(R, sc, sv)
             assert tables.cand == tables.mask == [None] * R.size
+            coset_cut = is_commutative(R) and sc == {R.zero}
+            assert tuple(tables.coeffs) == (_ann_cosets_by_brute_force(R)[1] if coset_cut else tuple(rng)), R.provenance
             for a in rng:
                 row = R.mul[a]
                 assert tables.close[a] == sum(1 << b for b in rng if row[b] in sc)
@@ -854,7 +896,7 @@ def test_search_tables_match_their_definition(small_rings):
                 assert tables.row(a) == (tables.cand[a], tables.mask[a])
                 assert tables.cand[a + 1 :] == [None] * (R.size - a - 1)
                 for p in rng:
-                    want = tuple(b for b in rng if R.add[p][row[b]] in sc)
+                    want = tuple(b for b in tables.coeffs if R.add[p][row[b]] in sc)
                     assert tables.cand[a][p] == want
                     assert tables.mask[a][p] == sum(1 << b for b in want)
 
@@ -887,7 +929,8 @@ def test_refuting_degree_one_scans_fill_only_the_rows_of_the_heads_they_walk(mon
                 continue
             refuted += 1
             (tables,) = made
-            heads = [a0 for a0, _ in _lex_leader_cut(R, sc, sv, tables.close)[0]]
+            # the scan consumed its tables' heads, so read a fresh one's
+            heads = [a0 for a0, _ in _Tables(R, sc, sv).heads]
             walked = heads[: heads.index(wit[0][0]) + 1]
             assert [a for a in range(R.size) if tables.cand[a] is not None] == sorted(walked), (R.provenance, kind)
             assert [a for a in range(R.size) if tables.mask[a] is not None] == sorted(walked), (R.provenance, kind)
