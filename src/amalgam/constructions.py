@@ -9,9 +9,9 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import SizeBudgetError
-from .morphisms import Ideal, RingHom, identity_hom
+from .morphisms import Ideal, RingHom, _close_map, identity_hom
 from .notation import matrix_slots
-from .rings import FiniteRing, _add_generators, fill_products, induced_ring, ring_closure, ring_memo, shared_ring
+from .rings import FiniteRing, _add_generators, fill_products, induced_ring, ring_memo, shared_ring
 
 __all__ = [
     "DEFAULT_SIZE_BUDGET",
@@ -217,8 +217,15 @@ def _build_embedding(R: FiniteRing, members: tuple[int, ...], provenance: str) -
 
 
 def subring_closure(R: FiniteRing, seed: Iterable[int]) -> Embedding:
-    """The smallest unital subring of R containing the seed."""
-    members = tuple(sorted(ring_closure(R, {R.one, *seed})))
+    """The smallest unital subring of R containing the seed: the identity on
+    {0, 1} and the seed, closed by _close_map; its members are the mapped
+    elements."""
+    todo = sorted({R.zero, R.one, *seed})
+    m = [-1] * R.size
+    for x in todo:
+        m[x] = x
+    _close_map(R, R, m, [], todo)
+    members = tuple(x for x, v in enumerate(m) if v >= 0)
     return _build_embedding(R, members, f"subring({R.provenance})")
 
 

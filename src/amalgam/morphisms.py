@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotAHomError, NotAnIdealError, SearchBudgetError
-from .rings import FiniteRing, ring_closure, ring_memo, semicommutative_scan
+from .rings import FiniteRing, semicommutative_scan
 
 __all__ = [
     "Ideal",
@@ -193,22 +193,6 @@ def identity_hom(R: FiniteRing) -> RingHom:
     return RingHom(R, R, tuple(range(R.size)))
 
 
-def ring_generators(R: FiniteRing) -> tuple[int, ...]:
-    """Greedy generating sequence beyond {0, 1}: repeatedly adjoin the smallest
-    element outside the current ring closure.  A fact of R's tables."""
-
-    def compute() -> tuple[int, ...]:
-        gens: list[int] = []
-        known = ring_closure(R, (R.one,))
-        while len(known) < R.size:
-            x = min(i for i in range(R.size) if i not in known)
-            gens.append(x)
-            known = ring_closure(R, known | {x})
-        return tuple(gens)
-
-    return ring_memo(R, "generators", compute)
-
-
 def _close_map(A: FiniteRing, B: FiniteRing, m: list[int], known: list[int], todo: list[int]) -> bool:
     """Close the partial map m (-1 where unset) in place under + and *.
 
@@ -222,7 +206,8 @@ def _close_map(A: FiniteRing, B: FiniteRing, m: list[int], known: list[int], tod
     additive on S, and for x met after y, S holds x*y, x^2 and y^2 with m
     multiplicative there.  So y*x = (x+y)^2 - x^2 - y^2 - x*y lies in S and
     m(y*x) = m(y)*m(x).  Every image set is forced by the seeds, so a y*x
-    step would change neither the closed map nor the result.
+    step would change neither the closed map nor the result.  On success S
+    is the subring the seeds generate, whatever their images.
     """
     addA, mulA = A.add, A.mul
     addB, mulB = B.add, B.mul
@@ -252,35 +237,33 @@ def _close_map(A: FiniteRing, B: FiniteRing, m: list[int], known: list[int], tod
 def enumerate_homs(A: FiniteRing, B: FiniteRing) -> list[RingHom]:
     """All unital homomorphisms A -> B, sorted by image table.
 
-    Backtracks over images of ring_generators(A); the images of 0 and 1 are
-    forced.  Each candidate image of a generator is closed by _close_map from
-    the parent's closed map, so only pairs holding a newly mapped element are
-    examined, and a conflict prunes the branch.  Rings above SEARCH_SIZE_CAP
-    raise SearchBudgetError.
+    Backtracks over images of greedy generators: the images of 0 and 1 are
+    forced, and the next generator is the least element the closed map
+    leaves unmapped.  Each candidate image of a generator is closed by
+    _close_map from the parent's closed map, so only pairs holding a newly
+    mapped element are examined, and a conflict prunes the branch.  Rings
+    above SEARCH_SIZE_CAP raise SearchBudgetError.
     """
     if A.size > SEARCH_SIZE_CAP or B.size > SEARCH_SIZE_CAP:
         raise SearchBudgetError(f"hom enumeration capped at size {SEARCH_SIZE_CAP}")
-    gens = ring_generators(A)
     results: list[RingHom] = []
 
-    def descend(level: int, m: list[int], known: list[int], todo: list[int]) -> None:
+    def descend(m: list[int], known: list[int], todo: list[int]) -> None:
         if not _close_map(A, B, m, known, todo):
             return
-        # m now maps the ring that 1 and gens[:level] generate: all of A at the
-        # last level, and never gens[level] before it.
-        if level == len(gens):
+        if len(known) == A.size:
             results.append(RingHom(A, B, tuple(m)))
             return
-        g = gens[level]
+        g = m.index(-1)
         for img in range(B.size):
             trial = m[:]
             trial[g] = img
-            descend(level + 1, trial, known[:], [g])
+            descend(trial, known[:], [g])
 
     seed = [-1] * A.size
     seed[A.zero] = B.zero
     seed[A.one] = B.one
-    descend(0, seed, [], sorted({A.zero, A.one}))
+    descend(seed, [], sorted({A.zero, A.one}))
     results.sort(key=lambda h: h.map)
     return results
 
@@ -304,4 +287,4 @@ def is_radical_ideal(R: FiniteRing, J: Ideal) -> bool:
 def is_semicommutative_ideal(R: FiniteRing, J: Ideal) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Whether x*y = 0 forces x*r*y = 0 for x, y, r in J; witness (x, r, y)
     otherwise, as semicommutative_scan picks it."""
-    return semicommutative_scan(R, J.members, J.members)
+    return semicommutative_scan(R, J.members)

@@ -277,11 +277,11 @@ class _Tables:
 
     close[a] is the bitmask of the b with a*b in sc, and bad[a] the bitmask
     of the b with a*b outside sv; both are built up front, by one membership
-    pass over each row.  heads, coeffs, tails and swap are the cut of
-    _lex_leader_cut, taken here so every row is built over coeffs.
+    pass over each row.  cut, coeffs, tails and swap, plain data, are what
+    _lex_leader_cut returns, taken here so every row is built over coeffs.
     cand[a][p], the b in coeffs ascending with p + a*b in sc, and mask[a][p],
     the same b as a bitmask, are built by row(a) on first read and are None
-    until then: a refuting degree-1 scan stops after a few heads, so it
+    until then: a refuting degree-1 scan stops after a few leads, so it
     reads a few of the n rows.  p + a*b is in sc exactly when a*b = s - p
     for an s in sc, so a row groups the b in coeffs by a*b and joins the
     groups of those values (for sc = {0}, the group of -p).  The tables are
@@ -289,7 +289,7 @@ class _Tables:
     so stored tables would cost memory for no reuse.
     """
 
-    __slots__ = ("close", "bad", "cand", "mask", "heads", "coeffs", "tails", "swap", "_mul", "_neg", "_wanted")
+    __slots__ = ("close", "bad", "cand", "mask", "cut", "coeffs", "tails", "swap", "_mul", "_neg", "_wanted")
 
     def __init__(self, R: FiniteRing, sc: frozenset, sv: frozenset) -> None:
         n = R.size
@@ -303,7 +303,7 @@ class _Tables:
         add, neg = R.add, R.neg
         self._wanted = None if sc == {R.zero} else [[add[s][neg[p]] for s in sorted(sc)] for p in range(n)]
         self._mul, self._neg = R.mul, neg
-        self.heads, self.coeffs, self.tails, self.swap = _lex_leader_cut(R, sc, sv, self.close)
+        self.cut, self.coeffs, self.tails, self.swap = _lex_leader_cut(R, sc, sv)
         self.cand: list = [None] * n
         self.mask: list = [None] * n
 
@@ -371,10 +371,8 @@ def _cut_values(R: FiniteRing) -> tuple[tuple[int, ...], int, tuple[int, ...], i
     return ring_memo(R, "cut_values", compute)
 
 
-def _lex_leader_cut(
-    R: FiniteRing, sc: frozenset, sv: frozenset, close: list
-) -> tuple[Iterator[tuple[int, tuple[int, ...]]], Sequence[int], dict, bool]:
-    """What the scans walk, as (heads, coeffs, tails, swap); _Tables takes
+def _lex_leader_cut(R: FiniteRing, sc: frozenset, sv: frozenset) -> tuple[int, Sequence[int], dict, bool]:
+    """What the scans walk, as (cut, coeffs, tails, swap); _Tables takes
     it and builds its rows over coeffs.
 
     coeffs are the values any coefficient takes, ascending: all of R, or
@@ -383,8 +381,8 @@ def _lex_leader_cut(
     takes: the least element of each unit orbit in coeffs (zero is an orbit
     of its own).  tails[x], for x in leads, are the coeffs from x on, the
     values f's last coefficient takes after a first nonzero a_k = x, k < d.
-    heads yields each a0 in leads with the b0 it walks, the bits of
-    close[a0] (the b with a0*b in sc) in coeffs, as each scan reaches it;
+    cut masks the b0 the scans walk: each scan reaching a0 in leads walks
+    the bits of close[a0] & cut (the b with a0*b in sc) in coeffs, and
     when sc and sv are both {0} the b0 are cut to leads, and so is each
     later b_k short of the last whose predecessors are all zero, which
     leaves the same level.  swap says whether R is commutative; then the
@@ -430,8 +428,7 @@ def _lex_leader_cut(
         reps = tuple(x for x in reps if (least_mask >> x) & 1)
     tails = {x: coeffs[bisect_left(coeffs, x) :] for x in reps}
     tails[zero] = reps
-    heads = ((a0, _bits(close[a0] & cut)) for a0 in reps)
-    return heads, coeffs, tails, swap
+    return cut, coeffs, tails, swap
 
 
 # --------------------------------------------------------------------------
@@ -479,7 +476,7 @@ def _scan_block_generic(
     g = [0] * (d + 1)
     pend = [zero] * (2 * d + 1)
     state = {"nodes": 0, "fbad": 0, "level0": (), "cand0": []}
-    tails = tables.tails
+    close, cut, tails = tables.close, tables.cut, tables.tails
     lead_set = set(tails[zero])
 
     def descend(k: int, flag: int, g_zero: bool, tied: bool) -> bool:
@@ -520,9 +517,9 @@ def _scan_block_generic(
                 pend[k + 1 : k + d + 1] = saved
         return False
 
-    for a0, level0 in tables.heads:
+    for a0 in tails[zero]:
         fb0 = bad[a0]
-        state["level0"] = level0
+        state["level0"] = _bits(close[a0] & cut)
         state["cand0"] = tables.row(a0)[0]
         for rest in itertools.product(tables.coeffs, repeat=d):
             fc = (a0, *rest)
@@ -554,18 +551,19 @@ def _scan_block_d1(
     mask[a0][a1*b0] & close[a1], narrowed to fbad unless b0 already makes
     the leaf bad, and the lowest set bit is the lex-first witness.  nodes
     still adds the whole candidate level, so the count is the generic one.
-    Only the rows of the heads the walk reaches are built, over the cut's
+    Only the rows of the leads the walk reaches are built, over the cut's
     coeffs.  On a commutative ring b0 starts at a0, and when b0 = a0 (tie0)
     the mask keeps b1 >= a1.
     """
     tables = _Tables(R, sc, sv)
-    close, bad, tails = tables.close, tables.bad, tables.tails
+    close, bad, cut, tails = tables.close, tables.bad, tables.cut, tables.tails
     mul = R.mul
     nodes = 0
-    for a0, level0 in tables.heads:
+    for a0 in tails[R.zero]:
         fb0 = bad[a0]
         cand0, mask0 = tables.row(a0)
         tie0 = a0 if tables.swap else -1
+        level0 = _bits(close[a0] & cut)
         level0 = level0[bisect_left(level0, tie0) :]
         for a1 in tails[a0]:
             fbad = fb0 | bad[a1]
@@ -608,11 +606,12 @@ def _scan_block_d2(
     it, with no call on later reads.
     """
     tables = _Tables(R, sc, sv)
-    close, bad, mask, coeffs, tails = tables.close, tables.bad, tables.mask, tables.coeffs, tables.tails
+    close, bad, mask, cut, coeffs, tails = tables.close, tables.bad, tables.mask, tables.cut, tables.coeffs, tables.tails
     add, mul = R.add, R.mul
     zero = R.zero
     nodes = 0
-    for a0, level0 in tables.heads:
+    for a0 in tails[zero]:
+        level0 = _bits(close[a0] & cut)
         fb0 = bad[a0]
         cand0, mask0 = tables.row(a0)
         tie0 = a0 if tables.swap else -1

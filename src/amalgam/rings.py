@@ -30,7 +30,6 @@ __all__ = [
     "power",
     "is_nilpotent",
     "nilradical",
-    "ring_closure",
     "is_reduced",
     "is_unit",
     "units",
@@ -443,28 +442,6 @@ def nilradical(R: FiniteRing) -> frozenset[int]:
     return frozenset(x for x in range(R.size) if is_nilpotent(R, x)[0])
 
 
-def ring_closure(R: FiniteRing, seed: Iterable[int]) -> set[int]:
-    """The smallest set holding zero and the seed that is closed under
-    negation, addition and multiplication."""
-    current = {R.zero}
-    current.update(seed)
-    add, mul = R.add, R.mul
-    while True:
-        new = set()
-        elems = list(current)
-        for x in elems:
-            if R.neg[x] not in current:
-                new.add(R.neg[x])
-            for y in elems:
-                if add[x][y] not in current:
-                    new.add(add[x][y])
-                if mul[x][y] not in current:
-                    new.add(mul[x][y])
-        if not new:
-            return current
-        current.update(new)
-
-
 def is_reduced(R: FiniteRing) -> tuple[bool, Optional[int]]:
     """Whether R has no nonzero nilpotents; returns the least witness with x*x = 0.
 
@@ -558,10 +535,8 @@ def is_commutative(R: FiniteRing) -> bool:
     return ring_memo(R, "commutative", lambda: list(map(tuple, mul)) == list(zip(*mul)))
 
 
-def semicommutative_scan(
-    R: FiniteRing, elems: Sequence[int], middles: Sequence[int]
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Whether a*b = 0 forces a*r*b = 0 for a, b in elems and r in middles.
+def semicommutative_scan(R: FiniteRing, elems: Sequence[int]) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """Whether a*b = 0 forces a*r*b = 0 for a, r, b in elems.
 
     Scans (a, b) pairs lexicographically and then r, so the witness (a, r, b)
     is the lexicographically smallest (a, b, r) that violates the law.
@@ -573,7 +548,7 @@ def semicommutative_scan(
         for b in elems:
             if row_a[b] != zero:
                 continue
-            for r in middles:
+            for r in elems:
                 if mul[row_a[r]][b] != zero:
                     return False, (a, r, b)
     return True, None
@@ -588,5 +563,4 @@ def is_semicommutative_ring(R: FiniteRing) -> tuple[bool, Optional[tuple[int, in
     """
     if is_commutative(R):
         return True, None
-    elems = range(R.size)
-    return semicommutative_scan(R, elems, elems)
+    return semicommutative_scan(R, range(R.size))

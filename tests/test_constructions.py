@@ -1,6 +1,7 @@
 """Ring constructors and the amalgamation: shapes, labels, algebraic identities."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,8 +92,26 @@ def test_subring_closure_finds_unital_core(m2):
     emb = subring_closure(m2, [m2.one])
     assert emb.members[emb.ring.one] == m2.one
     assert emb.ring.size == 2
-    scalars = subring_closure(m2, [])
-    assert scalars.members == (0, m2.one) or m2.one in scalars.members
+    assert subring_closure(m2, []).members == (m2.zero, m2.one)
+
+
+def test_subring_closure_is_held_to_every_subset(corpus):
+    """On the corpus rings of at most 12 elements, the subring generated by
+    no, one or two seeds is the least member set that holds 0, 1 and the
+    seeds and is closed under + and *, found among every subset."""
+    small = [R for _, R in corpus if R.size <= 12]
+    assert len(small) == 20 and any(R.structure[0] == "upper" for R in small)
+    for R in small:
+        subsets = (
+            {x for x in range(R.size) if mask >> x & 1}
+            for mask in range(1 << R.size)
+            if mask >> R.zero & mask >> R.one & 1
+        )
+        subrings = [s for s in subsets if all(R.add[x][y] in s and R.mul[x][y] in s for x in s for y in s)]
+        for k in (0, 1, 2):
+            for seeds in itertools.combinations(range(R.size), k):
+                least = set.intersection(*[s for s in subrings if set(seeds) <= s])
+                assert subring_closure(R, seeds).members == tuple(sorted(least)), (R, seeds)
 
 
 def test_f_plus_j_is_whole_ring_for_identity(z4):

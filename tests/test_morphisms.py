@@ -20,7 +20,6 @@ from amalgam.morphisms import (
     is_radical_ideal,
     is_semicommutative_ideal,
     preimage_ideal,
-    ring_generators,
 )
 
 
@@ -89,14 +88,6 @@ def test_enumerate_homs_counts(z4):
     P = direct_product(zmod(2), zmod(2))
     # projections-with-diagonal style endomorphisms: identity, swap, two collapses
     assert len(enumerate_homs(P, P)) == 4
-
-
-def test_ring_generators_cover(z4, m2):
-    # 1 already generates all of Z/4, so nothing beyond the forced seed is needed
-    assert ring_generators(z4) == ()
-    gens_m2 = ring_generators(m2)
-    assert gens_m2  # scalars alone do not span the matrix ring
-    assert generated_ideal(m2, gens_m2).members == tuple(range(16))
 
 
 def test_preimage_ideal_along_projection():
@@ -212,10 +203,16 @@ def _repeated_pass_propagate(A, B, amap):
 
 def _repeated_pass_homs(A, B):
     """enumerate_homs over the repeated-pass closure, which re-closes the
-    whole parent map for each candidate image."""
+    whole parent map for each candidate image.  The generators are greedy:
+    each is the least element outside the subring that 1 and the ones
+    before it generate, the domain of the closed identity map."""
     if A.size > SEARCH_SIZE_CAP or B.size > SEARCH_SIZE_CAP:
         raise SearchBudgetError(f"hom enumeration capped at size {SEARCH_SIZE_CAP}")
-    gens = ring_generators(A)
+    gens: list[int] = []
+    known = _repeated_pass_propagate(A, A, {A.zero: A.zero, A.one: A.one})
+    while len(known) < A.size:
+        gens.append(min(set(range(A.size)) - known.keys()))
+        known = _repeated_pass_propagate(A, A, {**known, gens[-1]: gens[-1]})
     seed = _repeated_pass_propagate(A, B, {A.zero: B.zero, A.one: B.one})
     results: list[RingHom] = []
     if seed is None:

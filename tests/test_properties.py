@@ -33,7 +33,6 @@ from amalgam.properties import (
     naive_poly_check,
     property_profile,
     _Tables,
-    _bits,
     _cut_values,
     _indecomposable_factors,
     _is_gaussian,
@@ -476,12 +475,12 @@ def test_orbit_cut_scans_find_the_lex_first_witness_of_the_full_walk(small_rings
                         break
 
 
-def _uncut(R: FiniteRing, sc: frozenset, sv: frozenset, close: list):
+def _uncut(R: FiniteRing, sc: frozenset, sv: frozenset):
     """_lex_leader_cut with every cut disabled: every a0 with every b0, every
     value for every coefficient, among them a lead one and f's last one,
     and no swap."""
     n = R.size
-    return [(a, _bits(close[a])) for a in range(n)], tuple(range(n)), [range(n)] * n, False
+    return -1, tuple(range(n)), [range(n)] * n, False
 
 
 def test_orbit_cut_scans_match_the_uncut_walk(monkeypatch, small_rings):
@@ -902,8 +901,8 @@ def test_search_tables_match_their_definition(small_rings):
 
 
 def test_refuting_degree_one_scans_fill_only_the_rows_of_the_heads_they_walk(monkeypatch, t2, m2, scenario_data):
-    """A refuting degree-1 scan builds the cand and mask rows of the heads
-    up to and including its witness's a0 and of no other element, on t2,
+    """A refuting degree-1 scan builds the cand and mask rows of its tables'
+    leads up to and including its witness's a0 and of no other element, on t2,
     m2 and the first non-Armendariz 64-element amalgam of the default
     scenarios."""
     big = next(
@@ -929,9 +928,8 @@ def test_refuting_degree_one_scans_fill_only_the_rows_of_the_heads_they_walk(mon
                 continue
             refuted += 1
             (tables,) = made
-            # the scan consumed its tables' heads, so read a fresh one's
-            heads = [a0 for a0, _ in _Tables(R, sc, sv).heads]
-            walked = heads[: heads.index(wit[0][0]) + 1]
+            leads = tables.tails[R.zero]
+            walked = leads[: leads.index(wit[0][0]) + 1]
             assert [a for a in range(R.size) if tables.cand[a] is not None] == sorted(walked), (R.provenance, kind)
             assert [a for a in range(R.size) if tables.mask[a] is not None] == sorted(walked), (R.provenance, kind)
         assert refuted, R.provenance
